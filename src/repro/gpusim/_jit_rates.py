@@ -3,12 +3,14 @@
 The engine's rebalance miss path — max-min fair SM allocation, the
 interference slowdown, and the SM-scaling rate — re-stated as loops
 over flat numpy arrays so numba can compile them to native code.  The
-arithmetic mirrors :func:`repro.gpusim.hwsched.waterfill`, the general
-branch of ``HardwareScheduler.allocate_fair_indexed``, and the scalar
-branch of ``SimEngine._compute_rates_vectorized`` **operation for
+arithmetic mirrors the engine's scalar rate kernel,
+``SimEngine._compute_rates_vectorized`` (its inline water-fill, the
+``HardwareScheduler.allocate_fair_indexed`` grouping it falls back to,
+and its fused grant → slowdown → rate loop), **operation for
 operation, in the same order**, so the compiled results are
-bit-identical to the interpreted ones (the 5-way equivalence tests in
-``tests/test_engine_fastpath.py`` enforce this).
+bit-identical to the interpreted ones (the 5-way equivalence tests and
+the rate-kernel property in ``tests/test_engine_fastpath.py`` enforce
+this).
 
 numba is an optional dependency (``pip install .[perf]``).  When it is
 absent the decorator below degrades to an identity wrapper: the module

@@ -216,7 +216,14 @@ def resolve_fault_plan(
         spec = os.environ.get("REPRO_FAULT_PLAN", "").strip() or None
     if seed is None:
         env_seed = os.environ.get("REPRO_FAULT_SEED", "").strip()
-        seed = int(env_seed) if env_seed else None
+        if env_seed:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise ValueError(
+                    f"invalid REPRO_FAULT_SEED value {env_seed!r}; "
+                    "expected an integer fault seed"
+                ) from None
     if spec is None:
         return None
     plan = FaultPlan.from_spec(spec)

@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class InterferenceModel:
@@ -77,8 +75,15 @@ class InterferenceModel:
         coupling.)
         """
         del total_sm_demand  # kept in the signature for callers/ablations
-        total_intensity = sum(m for m, _ in kernels)
-        num_unrestricted = sum(1 for _, restricted in kernels if not restricted)
+        # Plain left-to-right addition, as the engine's rate kernel
+        # does: sum() of floats is compensated from Python 3.12 on and
+        # could differ from it in the last bit.
+        total_intensity = 0.0
+        num_unrestricted = 0
+        for m, restricted in kernels:
+            total_intensity = total_intensity + m
+            if not restricted:
+                num_unrestricted += 1
         kappa_scattered = self.kappa_unrestricted
         result = []
         for m, restricted in kernels:
@@ -92,26 +97,6 @@ class InterferenceModel:
             slowdown = 1.0 + kappa * (pressure ** self.gamma) * min(1.0, m)
             result.append(min(self.max_slowdown, slowdown))
         return result
-
-    def slowdowns_array(self, mem, restricted):
-        """Vectorized :meth:`slowdowns` over numpy arrays.
-
-        ``mem`` is a float64 array of memory intensities, ``restricted``
-        a bool array; returns a float64 slowdown array in the same
-        order.  Bit-identical to the scalar path: the total intensity
-        is reduced with Python's left-to-right ``sum`` and every
-        per-kernel operation is element-wise in the scalar's evaluation
-        order.
-        """
-        total_intensity = sum(mem.tolist())
-        num_unrestricted = int(np.count_nonzero(~restricted))
-        pressure = np.minimum(1.0, np.maximum(0.0, total_intensity - mem))
-        scattered_with_company = (~restricted) & (num_unrestricted >= 2)
-        kappa = np.where(
-            scattered_with_company, self.kappa_unrestricted, self.kappa_restricted
-        )
-        slowdown = 1.0 + kappa * (pressure ** self.gamma) * np.minimum(1.0, mem)
-        return np.minimum(self.max_slowdown, slowdown)
 
     def solo_slowdown(self, mem_intensity: float) -> float:
         """A kernel running alone never interferes with itself."""

@@ -111,6 +111,16 @@ class TestFaultPlan:
         monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
         assert resolve_fault_plan() is None
 
+    @pytest.mark.parametrize("plan_spec", [None, "failure=0.02"])
+    def test_resolve_rejects_non_integer_env_seed(self, monkeypatch, plan_spec):
+        if plan_spec is None:
+            monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FAULT_PLAN", plan_spec)
+        monkeypatch.setenv("REPRO_FAULT_SEED", "abc")
+        with pytest.raises(ValueError, match=r"REPRO_FAULT_SEED value 'abc'"):
+            resolve_fault_plan()
+
     def test_plan_is_picklable(self):
         import pickle
 

@@ -8,12 +8,12 @@ A, all seven systems) through the engine builds:
                     kernel, serial harness;
 * ``scalar``      — incremental ready-set + rebalance skipping, scalar
                     rate arithmetic (the equivalence reference);
-* ``vectorized``  — the PR-2/PR-6 engine: membership-memoized rates
-                    with the numpy batch path;
-* ``batched``     — the default since ISSUE 7: rate-change epochs with
-                    out-of-heap completion/gap pseudo-events, fused
-                    advance+sweep ticks, and a process-wide L2 rate
-                    memo keyed on portable value signatures;
+* ``vectorized``  — membership-memoized rates, a miss computed by the
+                    scalar rate kernel;
+* ``batched``     — the default: rate-change epochs with out-of-heap
+                    completion/gap pseudo-events, fused advance+sweep
+                    ticks, and a process-wide L2 rate memo for running
+                    sets of one or two kernels, keyed on their rate rows;
 * ``jit``         — ``batched`` plus the numba rebalance kernel when
                     numba is installed (silently interpreted when not).
 

@@ -208,7 +208,7 @@ def resolve_fault_plan(
     """Resolve a plan from an explicit spec and/or the environment.
 
     ``REPRO_FAULT_PLAN`` supplies a default spec for the whole process
-    tree (mirroring ``REPRO_ENGINE_MODE``); ``REPRO_FAULT_SEED``
+    tree; ``REPRO_FAULT_SEED``
     overrides the plan's seed, which is how CI replays a fault run
     byte-identically.  Returns ``None`` when no spec is available.
     """

@@ -32,9 +32,7 @@ from .stream import DeviceQueue
 #: Water-fill tolerances, shared by every allocation path: a residual
 #: capacity at or below ``CAPACITY_EPS`` counts as exhausted, and a
 #: demand within ``SATISFIED_EPS`` of its fair share counts as
-#: satisfied.  ``repro.gpusim._jit_rates`` compiles these same values
-#: into its numba water-fill (numba freezes globals at compile time),
-#: so the interpreted and jitted allocations stay bit-identical.
+#: satisfied.
 CAPACITY_EPS = 1e-12
 SATISFIED_EPS = 1e-15
 
@@ -231,7 +229,7 @@ class HardwareScheduler:
             for cid in level_cids:
                 kernels = by_context[cid]
                 fills = waterfill([k.spec.sm_demand for k in kernels], limits[cid])
-                # Left to right, as the engine and the jit kernel add:
+                # Left to right, as the engine's rate kernel adds:
                 # sum() of floats is compensated from Python 3.12 on.
                 total = 0.0
                 for kernel, fill in zip(kernels, fills):

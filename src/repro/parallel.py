@@ -148,11 +148,10 @@ class CellExecutionError(RuntimeError):
 # for each would dominate small grids.  Keyed by the worker count plus
 # every environment variable forked workers freeze at creation —
 # workers that outlive an environment change would otherwise silently
-# run cells under the old engine mode, fault plan, trace target, or
-# catalog path, diverging from the serial path (scenario sweeps flip
-# these between back-to-back grids).
+# run cells under the old fault plan, trace target, or catalog path,
+# diverging from the serial path (scenario sweeps flip these between
+# back-to-back grids).
 _POOL_ENV_KEYS = (
-    "REPRO_ENGINE_MODE",
     "REPRO_FAULT_PLAN",
     "REPRO_FAULT_SEED",
     "REPRO_TRACE",

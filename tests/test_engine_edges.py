@@ -90,6 +90,18 @@ class TestRunControl:
         engine.run(until=10.0)
         assert len(engine.running_kernels) == 1
 
+    def test_until_ignores_a_cancelled_heap_top(self):
+        # The cancelled 5 us event tops the heap; the next live event
+        # lies past `until`, so the run must stop at `until`.
+        engine, _ = make_engine()
+        fired = []
+        engine.cancel(engine.schedule(5.0, lambda: fired.append(5.0)))
+        engine.schedule(20.0, lambda: fired.append(20.0))
+        assert engine.run(until=10.0) == 10.0
+        assert fired == []
+        assert engine.run() == 20.0
+        assert fired == [20.0]
+
 
 class TestMixedKinds:
     def test_sync_between_compute_kernels(self):

@@ -16,6 +16,7 @@ from functools import partial
 
 import pytest
 
+import repro.baselines.base as baselines_base
 from repro.apps.models import inference_app
 from repro.baselines.gslice import GSLICESystem
 from repro.baselines.iso import ISOSystem
@@ -39,6 +40,8 @@ from repro.workloads.suite import (
     symmetric_pair,
 )
 
+from .engine_oracle import OracleEngine
+
 
 def fingerprint(result, semantic_only=False):
     """Everything that must be byte-identical across runs.
@@ -47,9 +50,9 @@ def fingerprint(result, semantic_only=False):
     so absolute ids shift when other simulations ran first in the same
     process (relative order is still covered via record order).
     ``semantic_only`` additionally drops the ``engine_*`` diagnostics,
-    which legitimately differ across engine modes (a batched epoch
-    counts rebalances differently from a scalar sweep) while every
-    simulated observable stays identical.
+    which legitimately differ between the engine and the oracle
+    stepper (an epoch counts rebalances differently from a naive
+    per-event sweep) while every simulated observable stays identical.
     """
     extras = result.extras
     if semantic_only:
@@ -341,14 +344,16 @@ class TestCompositeBaselinesWithGateway:
 
 
 class TestNoGatewayByteIdentity:
-    @pytest.mark.parametrize(
-        "mode", ["batched", "jit", "vectorized", "scalar", "legacy"]
-    )
-    def test_engine_modes_unchanged(self, mode, monkeypatch):
+    @pytest.mark.parametrize("hw_policy", ["fair", "fifo"])
+    def test_engine_matches_oracle(self, hw_policy, monkeypatch):
         apps = symmetric_pair("R50")
-        reference = BlessRuntime().serve(bind_load(apps, "A", requests=6))
-        monkeypatch.setenv("REPRO_ENGINE_MODE", mode)
-        result = BlessRuntime().serve(bind_load(apps, "A", requests=6))
+        result = BlessRuntime(hw_policy=hw_policy).serve(
+            bind_load(apps, "A", requests=6)
+        )
+        monkeypatch.setattr(baselines_base, "SimEngine", OracleEngine)
+        reference = BlessRuntime(hw_policy=hw_policy).serve(
+            bind_load(apps, "A", requests=6)
+        )
         assert fingerprint(result, semantic_only=True) == fingerprint(
             reference, semantic_only=True
         )

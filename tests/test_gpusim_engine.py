@@ -254,3 +254,21 @@ class TestEventMachinery:
         engine.schedule(1.0, lambda: order.append("second"))
         engine.run()
         assert order == ["first", "second"]
+
+    @pytest.mark.parametrize("host_first", [True, False])
+    def test_completion_ties_a_host_event_in_scheduling_order(self, host_first):
+        # The completion is a pseudo-event outside the heap; at equal
+        # times it still fires in the order it was scheduled.
+        engine, registry = make_engine()
+        queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
+        order = []
+        if host_first:
+            engine.schedule(100.0, lambda: order.append("host"))
+        engine.launch(
+            KernelInstance(compute(dur=100.0, demand=1.0)), queue,
+            launch_overhead=0.0, on_finish=lambda k: order.append(engine.now),
+        )
+        if not host_first:
+            engine.schedule(100.0, lambda: order.append("host"))
+        engine.run()
+        assert order == (["host", 100.0] if host_first else [100.0, "host"])

@@ -2,16 +2,10 @@
 equivalence.
 
 Replays a fig13-style workload (the five symmetric model pairs at load
-A, all seven systems) with this tree's engine and with a base
-revision's:
-
-* the base is ``git merge-base HEAD origin/main``, or ``HEAD~1`` when
-  that is HEAD itself (a run on main) or ``origin/main`` is unknown;
-* it is checked out with ``git worktree add --detach`` into a temporary
-  directory, removed again afterwards;
-* every leg is a fresh subprocess with ``PYTHONPATH`` pointing at its
-  tree's ``src``, which times one serial ``run_inference`` pass after a
-  one-request warm-up.
+A, all seven systems) with this tree's engine and with the base
+revision's (the ``base_tree`` fixture in ``conftest.py``).  Every leg
+is a fresh subprocess (``run_leg``) that times one serial
+``run_inference`` pass after a one-request warm-up.
 
 Shared CI boxes show 30%+ wall-clock swings between back-to-back runs,
 so the two trees are timed in interleaved pairs — both legs of a pair
@@ -19,23 +13,16 @@ see the same machine weather — and ``extra_info["base_speedup"]`` is
 the median of the per-pair base/head ratios.  The asserted floor is
 0.8, a regression tripwire that survives that noise.  The bench also
 asserts identical figure output (every latency float) between this
-tree's serial and ``jobs=2`` runs.  It skips only outside a git work
-tree.
+tree's serial and ``jobs=2`` runs.
 """
 
-import os
 import statistics
-import subprocess
-import sys
-import tempfile
 import time
-from pathlib import Path
 
-import pytest
+from conftest import REPO_ROOT, run_leg
 
 from repro.experiments.fig13_overall import run_inference
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 REQUESTS = 4
 LOADS = ("A",)
 TRIALS = 5
@@ -55,55 +42,13 @@ print(repro.__file__, time.perf_counter() - started)
 """
 
 
-def git(*args):
-    return subprocess.run(
-        ["git", *args], cwd=REPO_ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
-
-
-def base_revision():
-    head = git("rev-parse", "HEAD")
-    try:
-        base = git("merge-base", "HEAD", "origin/main")
-    except subprocess.CalledProcessError:
-        base = head
-    return git("rev-parse", "HEAD~1") if base == head else base
-
-
-def time_leg(tree):
-    """Seconds of one serial fig13-style pass with ``tree``'s engine."""
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(tree / "src"),
-        "PYTHONHASHSEED": "0",
-        "REPRO_CATALOG": "off",
-    }
-    module, seconds = subprocess.run(
-        [sys.executable, "-c", LEG], cwd=tree, env=env, check=True,
-        capture_output=True, text=True,
-    ).stdout.split()[-2:]
-    assert Path(module).resolve().is_relative_to((tree / "src").resolve()), module
-    return float(seconds)
-
-
-def test_engine_speedup_and_equivalence(benchmark):
-    try:
-        git("rev-parse", "--is-inside-work-tree")
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip("the base revision needs a git work tree")
-    base_rev = base_revision()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base_tree = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base_tree), base_rev)
-        try:
-            base_times = []
-            head_times = []
-            for _ in range(TRIALS):
-                base_times.append(time_leg(base_tree))
-                head_times.append(time_leg(REPO_ROOT))
-        finally:
-            git("worktree", "remove", "--force", str(base_tree))
+def test_engine_speedup_and_equivalence(benchmark, base_tree):
+    base_rev, tree = base_tree
+    base_times = []
+    head_times = []
+    for _ in range(TRIALS):
+        base_times.append(float(run_leg(tree, LEG)[0]))
+        head_times.append(float(run_leg(REPO_ROOT, LEG)[0]))
     ratios = [base / head for base, head in zip(base_times, head_times)]
     base_speedup = statistics.median(ratios)
 

@@ -10,9 +10,9 @@ bad direction**:
 
 This keeps the gate direction-explicit without a separate
 higher/lower-is-better table, and makes custom gates one CLI flag:
-``--threshold speedup=-0.25``.  The defaults are the CI contract
+``--threshold cache_speedup=-0.25``.  The defaults are the CI contract
 (docs/results-catalog.md): throughput −5%, p99 +10%, and the
-benchmarks' interleaved-median ``speedup`` ratios −25%.
+config-search bench's interleaved-median ``cache_speedup`` ratio −25%.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .store import MetricComparison
 DEFAULT_THRESHOLDS: Dict[str, float] = {
     "throughput_qps": -0.05,
     "p99_latency_us": 0.10,
-    # Speedup ratios divide by optimized legs that finish in
+    # The ratio divides by a memoized replay that finishes in
     # milliseconds, so even interleaved-pair medians swing ~15% on
-    # shared boxes.  -25% still catches any real regression by a wide
-    # margin (breaking memoization or vectorization drops the ratio
-    # more than 90%).
-    "speedup": -0.25,
+    # shared boxes.  -25% still catches a real regression by a wide
+    # margin (breaking memoization drops the ratio about 90%).
+    "cache_speedup": -0.25,
 }
 
 

@@ -748,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="METRIC=FRAC",
         help="gate: signed fraction, sign = bad direction (default: "
-        "throughput_qps=-0.05 p99_latency_us=0.10 speedup=-0.10)",
+        "throughput_qps=-0.05 p99_latency_us=0.10 cache_speedup=-0.25)",
     )
     rp.add_argument("--json", action="store_true", help="emit a JSON verdict")
     rp.set_defaults(func=cmd_results_compare)

@@ -11,7 +11,6 @@ from .configurator import (
 from .deployment import AdmissionReport, check_admission
 from .kernel_manager import ConcurrentKernelManager, SquadExecution
 from .predictors import (
-    estimate_squad_duration,
     interference_free_estimate,
     workload_equivalence_estimate,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "composition_count",
     "ConcurrentKernelManager",
     "DEFAULT_CONFIG",
-    "estimate_squad_duration",
     "ExecutionConfig",
     "ExecutionConfigDeterminer",
     "generate_squad",

@@ -42,17 +42,10 @@ class BlessConfig:
     # Cap on exhaustively enumerated SP configurations; above this the
     # determiner falls back to proportional-split + local search.
     max_enumerated_configs: int = 4096
-    # How the determiner evaluates the enumerated composition space:
-    # "vectorized" builds one (n_configs, K) numpy cost matrix and
-    # reduces it in bulk; "scalar" walks compositions depth-first with
-    # branch-and-bound pruning; "legacy" is the pre-optimization
-    # per-composition Python loop, kept as the equivalence/benchmark
-    # reference.  All three provably pick the same configuration.
-    config_search_mode: str = "vectorized"
-    # Memoize chosen configurations by squad signature (quota mix,
-    # kernel windows, K, N): repeat squads cost one dict lookup instead
-    # of a full search.  Invalidated on profile recalibration.
-    use_config_cache: bool = True
+    # Capacity of the determiner's decision LRU, keyed by squad
+    # signature (quota mix, kernel windows, K, N): repeat squads cost
+    # one dict lookup instead of a full search.  Invalidated on profile
+    # recalibration.
     config_cache_size: int = 1024
     # Semi-SP rear selection: "adaptive" sizes each request's
     # unrestricted rear to the kernels predicted to outlive the
@@ -96,10 +89,6 @@ class BlessConfig:
             raise ValueError("nsp_predictor must be 'wave' or 'paper'")
         if self.semi_sp_mode not in ("adaptive", "static"):
             raise ValueError("semi_sp_mode must be 'adaptive' or 'static'")
-        if self.config_search_mode not in ("vectorized", "scalar", "legacy"):
-            raise ValueError(
-                "config_search_mode must be 'vectorized', 'scalar' or 'legacy'"
-            )
         if self.config_cache_size < 1:
             raise ValueError("config_cache_size must be >= 1")
         if self.profile_stale_ratio <= 1.0:

@@ -23,24 +23,18 @@ same optimum in the common cases the paper evaluates (the objective —
 the max of per-app stacks, Eq. 1 — is unimodal along single-partition
 moves).
 
-Search-cost engineering (the §6.9 decision-latency budget):
+Search cost (the §6.9 decision-latency budget):
 
 * **memoization** — decisions are cached in an LRU keyed by the squad's
   signature (:meth:`KernelSquad.signature`); consecutive squads from
   the same request mix are near-identical, so steady-state serving hits
   the cache almost always (``repro.core.config_cache``);
-* **vectorization** — the default search builds one ``(K, N)`` Eq. 1
-  stack-cost matrix plus an ``(n_configs, K)`` composition matrix and
-  reduces them in bulk with numpy instead of per-composition loops;
-* **branch-and-bound** — the ``"scalar"`` mode walks the composition
-  tree depth-first and abandons a prefix as soon as one app's partial
-  stack already exceeds the incumbent best makespan (safe: granting the
-  remaining apps partitions can only add new stacks, never shrink the
-  prefix max).
+* **vectorization** — a miss builds one ``(K, N)`` Eq. 1 stack-cost
+  matrix plus an ``(n_configs, K)`` composition matrix and reduces them
+  in bulk with numpy.
 
-The pre-optimization path survives as ``config_search_mode="legacy"``;
-all three modes provably choose the same configuration (see
-``tests/test_config_cache.py`` and ``benchmarks/test_config_search_perf.py``).
+``tests/config_oracle.py`` keeps the exhaustive per-composition scan
+as the test oracle this search must agree with.
 """
 
 from __future__ import annotations
@@ -85,31 +79,12 @@ class ExecutionConfig:
         return self.partitions is not None
 
 
-def _compositions(total: int, parts: int):
-    """All ways to split ``total`` units into ``parts`` positive ints.
-
-    The space is empty when ``total < parts`` (some part would get 0)
-    or ``parts <= 0``; both yield nothing, and callers must handle the
-    empty space explicitly (the determiner falls back to the
-    unrestricted configuration) instead of relying on the silent
-    fall-through this used to be.
-    """
-    if parts <= 0 or total < parts:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def composition_count(n_partitions: int, k_requests: int) -> int:
     """``C(N-1, K-1)`` — size of the strict-spatial config space."""
     return math.comb(n_partitions - 1, k_requests - 1)
 
 
-# (n, k) -> (n_configs, k) int array, in _compositions order.  A handful
+# (n, k) -> (n_configs, k) int array, in lexicographic order.  A handful
 # of (N, K) pairs recur for a given deployment, so the arrays are built
 # once per process.
 _COMPOSITION_ARRAYS: Dict[Tuple[int, int], np.ndarray] = {}
@@ -121,7 +96,7 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     Compositions of ``total`` into ``parts`` positive integers biject
     with ``parts - 1`` cut positions chosen from ``total - 1`` interior
     gaps; ``itertools.combinations`` emits the cuts in lexicographic
-    order, which reproduces :func:`_compositions` order exactly.
+    order, so the rows are the compositions in lexicographic order.
     """
     key = (total, parts)
     cached = _COMPOSITION_ARRAYS.get(key)
@@ -150,26 +125,12 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
 
 
 class ExecutionConfigDeterminer:
-    """Searches the configuration space with the two estimators.
+    """Searches the configuration space with the two estimators,
+    memoizing decisions in an LRU of ``config.config_cache_size``."""
 
-    ``mode`` overrides ``config.config_search_mode``; ``cache`` injects
-    a shared :class:`ExecutionConfigCache` (one is created from the
-    config's knobs when omitted and caching is enabled).
-    """
-
-    def __init__(
-        self,
-        config: BlessConfig,
-        cache: Optional[ExecutionConfigCache] = None,
-        mode: Optional[str] = None,
-    ):
+    def __init__(self, config: BlessConfig):
         self.config = config
-        self.mode = mode or config.config_search_mode
-        if self.mode not in ("vectorized", "scalar", "legacy"):
-            raise ValueError(f"unknown config_search_mode {self.mode!r}")
-        if cache is None and config.use_config_cache:
-            cache = ExecutionConfigCache(config.config_cache_size)
-        self.cache = cache
+        self.cache = ExecutionConfigCache(config.config_cache_size)
         # Optional DecisionTracer (obs/), wired by the runtime's setup;
         # ``config.chosen`` events are emitted only when attached.
         self.trace = None
@@ -179,13 +140,12 @@ class ExecutionConfigDeterminer:
     # ------------------------------------------------------------------
     @property
     def cache_stats(self):
-        """Hit/miss counters of the decision cache (None when disabled)."""
-        return self.cache.stats if self.cache is not None else None
+        """Hit/miss counters of the decision cache."""
+        return self.cache.stats
 
     def invalidate_cache(self) -> None:
         """Drop memoized decisions — call after profile recalibration."""
-        if self.cache is not None:
-            self.cache.invalidate()
+        self.cache.invalidate()
 
     # ------------------------------------------------------------------
     def _nsp_estimate(
@@ -211,9 +171,6 @@ class ExecutionConfigDeterminer:
         """
         if not squad.app_ids:
             raise ValueError("cannot configure an empty squad")
-        if self.cache is None:
-            return self._determine_uncached(squad, profiles)
-
         key, canonical_order = squad.signature(profiles, self.config)
         hit = self.cache.get(key)
         if hit is not None:
@@ -358,43 +315,10 @@ class ExecutionConfigDeterminer:
         k = len(app_ids)
         if k > n:
             return None  # cannot give every request a partition
+        stack = self._stack_matrix(squad, profiles, app_ids)
         if composition_count(n, k) <= self.config.max_enumerated_configs:
-            if self.mode == "legacy":
-                return self._enumerate_legacy(squad, profiles, app_ids, n)
-            stack = self._stack_matrix(squad, profiles, app_ids)
-            if self.mode == "scalar":
-                return self._enumerate_pruned(stack, app_ids, n)
             return self._enumerate_vectorized(stack, app_ids, n)
-        return self._local_search(squad, profiles, app_ids, n)
-
-    def _evaluate(
-        self,
-        squad: KernelSquad,
-        profiles: Mapping[str, AppProfile],
-        app_ids: List[str],
-        split: Tuple[int, ...],
-    ) -> Tuple[float, float]:
-        """(makespan, total stack time) of a split under Eq. 1.
-
-        The makespan is the paper's objective; the total stack time
-        breaks ties among makespan-equivalent splits — without it the
-        search may pointlessly squeeze a short side onto one partition
-        (slowing that request) when wider allocations cost nothing.
-
-        This is the pre-optimization per-kernel loop, retained for the
-        ``"legacy"`` search mode and as the equivalence reference.
-        """
-        total = 0.0
-        longest = 0.0
-        for app_id, parts in zip(app_ids, split):
-            entry = squad.entry(app_id)
-            profile = profiles[app_id]
-            stack = 0.0
-            for index in entry.kernel_indices:
-                stack += profile.step_cost(parts, index)
-            total += stack
-            longest = max(longest, stack)
-        return (longest, total)
+        return self._local_search(squad, profiles, stack, app_ids, n)
 
     def _enumerate_vectorized(
         self,
@@ -406,9 +330,12 @@ class ExecutionConfigDeterminer:
 
         One fancy-index gather turns the ``(n_configs, K)`` composition
         matrix into an ``(n_configs, K)`` cost matrix; a row-max and a
-        row-sum reduce it to the (makespan, total) objective, and the
-        argmin replicates the scalar scan's tie-breaking exactly
-        (first composition in enumeration order wins ties).
+        row-sum reduce it to the (makespan, total) objective.  The
+        makespan is the paper's objective; the total stack time breaks
+        ties among makespan-equivalent splits, so a short side is not
+        squeezed onto one partition when wider allocations cost
+        nothing.  The first composition in lexicographic order wins
+        the remaining ties.
         """
         k = len(app_ids)
         splits = _composition_array(n, k)
@@ -426,95 +353,15 @@ class ExecutionConfigDeterminer:
             predicted_duration_us=float(best_makespan),
         )
 
-    def _enumerate_pruned(
-        self,
-        stack: np.ndarray,
-        app_ids: List[str],
-        n: int,
-    ) -> Optional[ExecutionConfig]:
-        """Depth-first enumeration with branch-and-bound pruning.
-
-        Walks compositions in the same lexicographic order as
-        :func:`_compositions`, carrying the incumbent best score.  A
-        prefix whose partial stack max already *exceeds* the incumbent
-        makespan cannot contain the winner (descendants only add
-        stacks) and is cut.  Pruning is strict-greater only: an
-        equal-makespan descendant may still win on the total-stack
-        tie-break, so those subtrees survive — decisions stay identical
-        to the exhaustive scan.
-        """
-        k = len(app_ids)
-        if k <= 0 or n < k:
-            return None
-        best_split: Optional[Tuple[int, ...]] = None
-        best_score = (math.inf, math.inf)
-        prefix = [0] * k
-
-        def descend(app: int, remaining: int, prefix_max: float, prefix_sum: float):
-            nonlocal best_split, best_score
-            if prefix_max > best_score[0]:
-                return  # bound: no descendant can beat the incumbent
-            if app == k - 1:
-                cost = float(stack[app, remaining - 1])
-                score = (max(prefix_max, cost), prefix_sum + cost)
-                if score < best_score:
-                    prefix[app] = remaining
-                    best_score = score
-                    best_split = tuple(prefix)
-                return
-            apps_left = k - app - 1
-            for parts in range(1, remaining - apps_left + 1):
-                cost = float(stack[app, parts - 1])
-                new_max = max(prefix_max, cost)
-                if new_max > best_score[0]:
-                    # Larger allocations only shrink this app's stack,
-                    # so later siblings may still fit — keep scanning.
-                    continue
-                prefix[app] = parts
-                descend(app + 1, remaining - parts, new_max, prefix_sum + cost)
-
-        descend(0, n, 0.0, 0.0)
-        if best_split is None:
-            return None
-        return ExecutionConfig(
-            partitions=dict(zip(app_ids, best_split)),
-            predicted_duration_us=best_score[0],
-        )
-
-    def _enumerate_legacy(
-        self,
-        squad: KernelSquad,
-        profiles: Mapping[str, AppProfile],
-        app_ids: List[str],
-        n: int,
-    ) -> Optional[ExecutionConfig]:
-        """The pre-optimization exhaustive scan (per-kernel loops)."""
-        best_split: Optional[Tuple[int, ...]] = None
-        best_score: Tuple[float, float] = (math.inf, math.inf)
-        for split in _compositions(n, len(app_ids)):
-            score = self._evaluate(squad, profiles, app_ids, split)
-            if score < best_score:
-                best_score = score
-                best_split = split
-        if best_split is None:
-            # Empty composition space (e.g. more requests than
-            # partitions): report "no spatial plan" so the caller falls
-            # back to the unrestricted configuration.
-            return None
-        return ExecutionConfig(
-            partitions=dict(zip(app_ids, best_split)),
-            predicted_duration_us=best_score[0],
-        )
-
     def _local_search(
         self,
         squad: KernelSquad,
         profiles: Mapping[str, AppProfile],
+        stack: np.ndarray,
         app_ids: List[str],
         n: int,
     ) -> ExecutionConfig:
         k = len(app_ids)
-        stack = self._stack_matrix(squad, profiles, app_ids)
 
         def score_of(split: Tuple[int, ...]) -> Tuple[float, float]:
             costs = stack[np.arange(k), np.asarray(split) - 1]
@@ -571,13 +418,14 @@ def quota_proportional_config(
     """Fixed quota-proportional split (the Fig. 20 determiner ablation).
 
     Without the determiner, BLESS still runs squads spatially but simply
-    slices the GPU by provisioned quota instead of searching.
+    slices the GPU by provisioned quota instead of searching.  A lone
+    request, or more requests than partitions, runs unrestricted.
     """
     app_ids = squad.app_ids
-    if len(app_ids) == 1:
+    n = config.num_partitions
+    if len(app_ids) == 1 or len(app_ids) > n:
         duration = workload_equivalence_estimate(squad, profiles)
         return ExecutionConfig(partitions=None, predicted_duration_us=duration)
-    n = config.num_partitions
     total_quota = sum(quotas[a] for a in app_ids) or 1.0
     split = [max(1, round(n * quotas[a] / total_quota)) for a in app_ids]
     while sum(split) > n:

@@ -20,12 +20,10 @@ Memcpy durations are included in both sums whether or not they overlap
 at runtime; the over-estimate is similar across configurations so it
 rarely flips the argmin (§4.4.2).
 
-The public estimators are numpy-vectorized over each request's kernel
-window (and, via :meth:`AppProfile.stack_costs`, over every partition
-size at once for the configuration search).  The original per-kernel
-Python loops are kept as ``*_scalar`` references; the test suite proves
-the two agree, and ``benchmarks/test_config_search_perf.py`` measures
-the gap.
+The estimators are numpy-vectorized over each request's kernel window
+(and, via :meth:`AppProfile.stack_costs`, over every partition size at
+once for the configuration search).  Their per-kernel Python loop
+references live in ``tests/config_oracle.py``.
 """
 
 from __future__ import annotations
@@ -55,23 +53,6 @@ def interference_free_estimate(
         stack = float(
             profile.durations[partition - 1, cols].sum() + profile.gaps[cols].sum()
         )
-        longest = max(longest, stack)
-    return longest
-
-
-def interference_free_estimate_scalar(
-    squad: KernelSquad,
-    profiles: Mapping[str, AppProfile],
-    partitions: Mapping[str, int],
-) -> float:
-    """Pre-vectorization Eq. 1 reference (per-kernel Python loop)."""
-    longest = 0.0
-    for app_id, entry in squad.entries.items():
-        profile = profiles[app_id]
-        partition = partitions[app_id]
-        stack = 0.0
-        for index in entry.kernel_indices:
-            stack += profile.step_cost(partition, index)
         longest = max(longest, stack)
     return longest
 
@@ -126,35 +107,6 @@ def workload_equivalence_estimate(
         total += float(
             (wave_gap[populated] / np.maximum(1, members[populated])).sum()
         )
-    return total
-
-
-def workload_equivalence_estimate_scalar(
-    squad: KernelSquad,
-    profiles: Mapping[str, AppProfile],
-) -> float:
-    """Pre-vectorization Eq. 2 reference (per-wave Python loop)."""
-    entries = list(squad.entries.values())
-    if not entries:
-        return 0.0
-    depth = max(entry.count for entry in entries)
-    total = 0.0
-    for wave in range(depth):
-        wave_members = []
-        combined_demand = 0.0
-        for entry in entries:
-            if wave < entry.count:
-                index = entry.kernel_indices[wave]
-                profile = profiles[entry.app_id]
-                wave_members.append((profile, index))
-                combined_demand += float(profile.sm_demand[index])
-        active = min(1.0, combined_demand)
-        for profile, index in wave_members:
-            total += profile.duration_at_fraction(active, index)
-        if wave_members:
-            total += max(float(p.gaps[i]) for p, i in wave_members) / max(
-                1, len(wave_members)
-            )
     return total
 
 
@@ -219,70 +171,3 @@ def concurrent_wave_estimate(
         stack = float(durations.sum() + profile.gaps[cols].sum())
         longest = max(longest, stack)
     return longest
-
-
-def concurrent_wave_estimate_scalar(
-    squad: KernelSquad,
-    profiles: Mapping[str, AppProfile],
-    interference: InterferenceModel | None = None,
-) -> float:
-    """Pre-vectorization wave-estimator reference (per-kernel loop)."""
-    model = interference or InterferenceModel()
-    entries = list(squad.entries.values())
-    if not entries:
-        return 0.0
-
-    per_app = []
-    for entry in entries:
-        profile = profiles[entry.app_id]
-        weights = 0.0
-        demand_acc = 0.0
-        intensity_acc = 0.0
-        for index in entry.kernel_indices:
-            w = float(profile.durations[-1, index])
-            weights += w
-            demand_acc += w * float(profile.sm_demand[index])
-            intensity_acc += w * float(profile.mem_intensity[index])
-        if weights <= 0:
-            per_app.append((entry, profile, 0.0, 0.0))
-        else:
-            per_app.append(
-                (entry, profile, demand_acc / weights, intensity_acc / weights)
-            )
-
-    total_demand = sum(d for _, _, d, _ in per_app)
-    total_intensity = sum(m for _, _, _, m in per_app)
-    congestion = max(1.0, total_demand)
-    concurrent = len(per_app) > 1
-
-    longest = 0.0
-    for entry, profile, _, mean_m in per_app:
-        stack = 0.0
-        for index in entry.kernel_indices:
-            demand = float(profile.sm_demand[index])
-            share = demand / congestion
-            duration = profile.duration_at_fraction(share, index)
-            if concurrent:
-                pressure = min(1.0, max(0.0, total_intensity - mean_m))
-                slowdown = 1.0 + model.kappa_unrestricted * (
-                    pressure ** model.gamma
-                ) * min(1.0, float(profile.mem_intensity[index]))
-                duration *= min(model.max_slowdown, slowdown)
-            stack += duration + float(profile.gaps[index])
-        longest = max(longest, stack)
-    return longest
-
-
-def estimate_squad_duration(
-    squad: KernelSquad,
-    profiles: Mapping[str, AppProfile],
-    partitions: Mapping[str, int] | None,
-) -> float:
-    """Dispatch to the right estimator for a configuration.
-
-    ``partitions`` maps app_id -> partition index for a strict-spatial
-    configuration; ``None`` means the unrestricted (NSP) configuration.
-    """
-    if partitions is None:
-        return workload_equivalence_estimate(squad, profiles)
-    return interference_free_estimate(squad, profiles, partitions)

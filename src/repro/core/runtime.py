@@ -446,8 +446,6 @@ class BlessRuntime(SharingSystem):
             reg.gauge("bless/kernels_per_squad").set(
                 self._squad_kernel_total / self._squad_count
             )
-        cache_stats = self.determiner.cache_stats
-        if cache_stats is not None:
-            reg.import_mapping("config_cache", cache_stats.as_dict())
+        reg.import_mapping("config_cache", self.determiner.cache_stats.as_dict())
         result.extras.update(self.obs.legacy_extras())
         return result

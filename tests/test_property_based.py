@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.application import Application, AppKind, Request
 from repro.core.config import BlessConfig
-from repro.core.configurator import _compositions, composition_count
+from repro.core.configurator import composition_count
 from repro.core.profiler import OfflineProfiler
 from repro.core.progress import RequestProgress
 from repro.core.squad import generate_squad
@@ -14,6 +14,8 @@ from repro.gpusim.hwsched import waterfill
 from repro.gpusim.interference import InterferenceModel
 from repro.gpusim.kernel import KernelSpec
 from repro.metrics.bubbles import _merge_windows
+
+from .config_oracle import compositions
 
 fractions = st.floats(min_value=0.01, max_value=1.0)
 intensities = st.floats(min_value=0.0, max_value=1.0)
@@ -107,7 +109,7 @@ class TestCompositionsProperties:
     def test_count_matches_enumeration(self, n, k):
         if k > n:
             return
-        splits = list(_compositions(n, k))
+        splits = list(compositions(n, k))
         assert len(splits) == composition_count(n, k)
         for split in splits:
             assert sum(split) == n

@@ -15,10 +15,11 @@ Intended call sequence (the ``perf-gate`` job in
 
 Thresholds are signed fractions whose sign encodes the bad direction
 (see ``repro results compare --help``); defaults: throughput −5%,
-p99 latency +10%, benchmark speedup ratios −25%.  Wall-clock seconds
-are deliberately *not* gated by default — the committed baseline may
-come from different hardware; the speedup ratios are measured
-baseline-vs-optimized on one box and survive the machine change.
+p99 latency +10%, the config-search ``cache_speedup`` ratio −25%.
+Wall-clock seconds are deliberately *not* gated by default — the
+committed baseline may come from different hardware; the ratio is
+measured uncached-vs-memoized on one box and survives the machine
+change.
 
 A missing baseline (first run on a fresh cache) passes with a warning
 unless ``--require-baseline`` is set.
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
         action="append",
         metavar="METRIC=FRAC",
         help="signed gate fraction, sign = bad direction "
-        "(default: throughput_qps=-0.05 p99_latency_us=0.10 speedup=-0.25)",
+        "(default: throughput_qps=-0.05 p99_latency_us=0.10 cache_speedup=-0.25)",
     )
     parser.add_argument(
         "--require-baseline",

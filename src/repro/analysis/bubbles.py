@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..gpusim.engine import TimelineSegment
-from ..metrics.bubbles import _merge_windows
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,20 @@ class BubbleTaxonomy:
             lines.append(f"  {name:22s} {value / 1000:9.2f}  ({value / total:6.1%})")
         lines.append(f"  bubble ratio while in flight: {self.bubble_ratio:.1%}")
         return "\n".join(lines)
+
+
+def _merge_windows(
+    windows: Sequence[Tuple[float, float]]
+) -> List[Tuple[float, float]]:
+    """Merge overlapping (start, end) intervals."""
+    cleaned = sorted((s, e) for s, e in windows if e > s)
+    merged: List[Tuple[float, float]] = []
+    for start, end in cleaned:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 def analyze_run(

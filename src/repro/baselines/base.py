@@ -253,24 +253,20 @@ class SharingSystem(abc.ABC):
 
         self._result.makespan_us = self.engine.now
         self._result.utilization = self.engine.utilization()
-        # End-of-run tallies flow through the metrics registry; the
-        # legacy_extras() shim reproduces the historical extras keys
-        # (engine_*, fault_*) byte-identically for golden files.
-        self.obs.registry.import_mapping("engine", self.engine.counters)
+        # End-of-run tallies are registered under their extras keys;
+        # the result's extras is the registry's scalar view.
+        reg = self.obs.registry
+        reg.import_mapping("engine_", self.engine.counters)
         if self._gateway is not None:
-            # slo/* gauges map to slo_* extras via the legacy shim; all
-            # additive, so cluster/epoch merges sum them exactly.
-            self.obs.registry.import_mapping("slo", self._gateway.counters)
+            reg.import_mapping("slo_", self._gateway.counters)
         if self.fault_injector is not None:
             stats = self.fault_stats
             stats.transient_retries = self.engine.kernels_retried
             stats.permanent_failures = self.engine.kernels_failed
             stats.kernels_killed = self.engine.kernels_killed
-            self.obs.registry.import_mapping("fault", stats.as_dict())
-            self.obs.registry.gauge("fault/requests_arrived").set(
-                float(self._requests_arrived)
-            )
-        self._result.extras.update(self.obs.legacy_extras())
+            reg.import_mapping("fault_", stats.as_dict())
+            reg.set("fault_requests_arrived", self._requests_arrived)
+        self._result.extras = reg.scalars()
         return self._result
 
     # ------------------------------------------------------------------

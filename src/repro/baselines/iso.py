@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence
 from ..apps.application import Application
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
+from ..obs import Observability
 from ..workloads.suite import WorkloadBinding
 from .base import SharingSystem
 from .gslice import GSLICESystem
@@ -41,7 +42,12 @@ class ISOSystem(SharingSystem):
                 gpu_spec=self.gpu_spec, fault_plan=self.fault_plan, slo=self.slo
             )
             results.append(sub.serve([binding]))
-        return ServingResult.merge(results, system=self.name, num_slots=1)
+        merged = ServingResult.merge(results, system=self.name, num_slots=1)
+        # A fresh registry holds the merged tallies, so the composite's
+        # extras is its registry's scalar view, as for any other system.
+        self.obs = Observability(self._trace_flag)
+        self.obs.registry.import_mapping("", merged.extras)
+        return merged
 
 
 def iso_targets_us(

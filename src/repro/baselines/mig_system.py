@@ -14,6 +14,7 @@ from typing import Sequence
 
 from ..gpusim import mig
 from ..metrics.stats import ServingResult
+from ..obs import Observability
 from ..workloads.suite import WorkloadBinding
 from .base import SharingSystem
 from .gslice import GSLICESystem
@@ -50,7 +51,9 @@ class MIGSystem(SharingSystem):
         # layer carries every sub-engine's extras (previously only the
         # engine_* counters survived, dropping the fault accounting).
         merged = ServingResult.merge(results, system=self.name, num_slots=1)
-        merged.extras["slices"] = float(
-            sum(instance.compute_slices for instance in instances)
-        )
+        self.obs = Observability(self._trace_flag)
+        reg = self.obs.registry
+        reg.import_mapping("", merged.extras)
+        reg.set("slices", sum(instance.compute_slices for instance in instances))
+        merged.extras = reg.scalars()
         return merged

@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+from ..gateway.slo import slo_rates
 from ..metrics.stats import ServingResult
 from .schema import describe_callable, stable_repr
 from .store import ResultsCatalog
@@ -116,11 +117,9 @@ def result_metrics(result: ServingResult) -> Dict[str, float]:
     ``config_cache_*``, ``engine_*``, ``slo_*``), so cluster-merged
     results carry the ``completed + shed == arrived`` accounting into
     the catalog.  When a serving gateway ran (``slo_*`` extras
-    present), two derived headline metrics are added for the
-    latency-critical class: ``slo_attainment`` (deadline hits over
-    arrivals — gate-shed and fault-shed requests count against
-    attainment, matching the SLO-attainment figures of serving papers)
-    and ``deadline_miss_rate`` (misses over completions).
+    present), the latency-critical class's ``slo_attainment`` and
+    ``deadline_miss_rate`` are added (see :func:`~repro.gateway.slo.
+    slo_rates`).
     """
     metrics: Dict[str, float] = {
         "mean_latency_us": result.mean_of_app_means(),
@@ -131,18 +130,7 @@ def result_metrics(result: ServingResult) -> Dict[str, float]:
         "makespan_us": result.makespan_us,
         "completed": float(len(result.records)),
     }
-    lc_arrived = float(result.extras.get("slo_arrived_latency_critical", 0.0))
-    if lc_arrived > 0.0:
-        hits = float(result.extras.get("slo_deadline_hits_latency_critical", 0.0))
-        misses = float(
-            result.extras.get("slo_deadline_misses_latency_critical", 0.0)
-        )
-        lc_completed = float(
-            result.extras.get("slo_completed_latency_critical", 0.0)
-        )
-        metrics["slo_attainment"] = hits / lc_arrived
-        if lc_completed > 0.0:
-            metrics["deadline_miss_rate"] = misses / lc_completed
+    metrics.update(slo_rates(result.extras))
     for key, value in result.extras.items():
         metrics.setdefault(key, float(value))
     return {

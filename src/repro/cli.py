@@ -119,7 +119,7 @@ def cmd_serve(args) -> int:
         print(f"fault plan: {fault_plan.describe()}")
     slo = None
     if args.slo_mix:
-        from .gateway import parse_slo_mix
+        from .gateway import parse_slo_mix, slo_rates
 
         slo = parse_slo_mix(args.slo_mix, [a.app_id for a in apps])
         classes = ", ".join(
@@ -150,10 +150,9 @@ def cmd_serve(args) -> int:
             degraded = result.extras.get("fault_degradation_events", 0.0)
             line += f"  shed={shed:.0f} degradation={degraded:.0f}"
         if slo is not None:
-            arrived = result.extras.get("slo_arrived_latency_critical", 0.0)
-            hits = result.extras.get("slo_deadline_hits_latency_critical", 0.0)
-            if arrived > 0:
-                line += f"  slo={hits / arrived:.0%}"
+            attainment = slo_rates(result.extras).get("slo_attainment")
+            if attainment is not None:
+                line += f"  slo={attainment:.0%}"
             preemptions = result.extras.get("slo_preemptions", 0.0)
             if preemptions > 0:
                 line += f" preempt={preemptions:.0f}"

@@ -108,21 +108,21 @@ class ClusterStats:
     # either here (app refused) or in the gateway books (app placed).
     requests_shed_by_class: Dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self, prefix: str = "cluster_") -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, float]:
         out = {
-            f"{prefix}epochs": float(self.epochs),
-            f"{prefix}apps_arrived": float(self.apps_arrived),
-            f"{prefix}apps_admitted": float(self.apps_admitted),
-            f"{prefix}apps_degraded": float(self.apps_degraded),
-            f"{prefix}apps_shed": float(self.apps_shed),
-            f"{prefix}apps_departed": float(self.apps_departed),
-            f"{prefix}migrations": float(self.migrations),
-            f"{prefix}requests_shed": float(self.requests_shed),
+            "cluster_epochs": float(self.epochs),
+            "cluster_apps_arrived": float(self.apps_arrived),
+            "cluster_apps_admitted": float(self.apps_admitted),
+            "cluster_apps_degraded": float(self.apps_degraded),
+            "cluster_apps_shed": float(self.apps_shed),
+            "cluster_apps_departed": float(self.apps_departed),
+            "cluster_migrations": float(self.migrations),
+            "cluster_requests_shed": float(self.requests_shed),
         }
         # Per-class keys only when classes exist — non-SLO runs keep
         # the historical extras schema byte for byte.
         for cls, count in sorted(self.requests_shed_by_class.items()):
-            out[f"{prefix}requests_shed_{cls}"] = float(count)
+            out[f"cluster_requests_shed_{cls}"] = float(count)
         return out
 
 

@@ -426,26 +426,18 @@ class BlessRuntime(SharingSystem):
     # ------------------------------------------------------------------
     def serve(self, bindings):  # type: ignore[override]
         result = super().serve(bindings)
-        # Runtime tallies flow through the metrics registry; the
-        # ``bless/`` namespace maps to the historical bare extras keys
-        # and ``config_cache/`` to ``config_cache_*`` via the shim, so
-        # the extras schema (and the golden files) stay byte-identical.
         reg = self.obs.registry
-        reg.gauge("bless/squads").set(float(self._squad_count))
-        reg.gauge("bless/spatial_squads").set(float(self._spatial_squads))
-        reg.gauge("bless/context_switches").set(float(self.manager.context_switches))
-        reg.gauge("bless/context_memory_mb").set(float(self.manager.context_memory_mb))
-        reg.gauge("bless/peak_context_memory_mb").set(
-            float(self.manager.peak_context_memory_mb)
-        )
-        reg.gauge("bless/context_evictions").set(float(self.manager.context_evictions))
-        reg.gauge("bless/oom_fallbacks").set(float(self.manager.oom_fallbacks))
+        reg.set("squads", self._squad_count)
+        reg.set("spatial_squads", self._spatial_squads)
+        reg.set("context_switches", self.manager.context_switches)
+        reg.set("context_memory_mb", self.manager.context_memory_mb)
+        reg.set("peak_context_memory_mb", self.manager.peak_context_memory_mb)
+        reg.set("context_evictions", self.manager.context_evictions)
+        reg.set("oom_fallbacks", self.manager.oom_fallbacks)
         if self.fault_injector is not None:
-            reg.gauge("bless/profile_stale").set(float(self._profiles_stale))
+            reg.set("profile_stale", self._profiles_stale)
         if self._squad_count:
-            reg.gauge("bless/kernels_per_squad").set(
-                self._squad_kernel_total / self._squad_count
-            )
-        reg.import_mapping("config_cache", self.determiner.cache_stats.as_dict())
-        result.extras.update(self.obs.legacy_extras())
+            reg.set("kernels_per_squad", self._squad_kernel_total / self._squad_count)
+        reg.import_mapping("config_cache_", self.determiner.cache_stats.as_dict())
+        result.extras = reg.scalars()
         return result

@@ -43,6 +43,7 @@ from ..gateway.slo import (
     SLOPolicy,
     SLOSpec,
     check_slo_accounting,
+    slo_rates,
 )
 from ..metrics.stats import ServingResult
 from ..workloads.arrivals import ClosedLoop, Continuous
@@ -118,15 +119,12 @@ def ablation_spec(preempt: bool) -> SLOSpec:
 
 def _cell_stats(result: ServingResult) -> Dict[str, float]:
     extras = result.extras
-    arrived = extras.get("slo_arrived_latency_critical", 0.0)
-    hits = extras.get("slo_deadline_hits_latency_critical", 0.0)
-    misses = extras.get("slo_deadline_misses_latency_critical", 0.0)
-    completed = extras.get("slo_completed_latency_critical", 0.0)
+    rates = slo_rates(extras)
     return {
-        "slo_attainment": hits / arrived if arrived > 0 else 0.0,
-        "deadline_miss_rate": misses / completed if completed > 0 else 0.0,
-        "lc_arrived": arrived,
-        "lc_hits": hits,
+        "slo_attainment": rates.get("slo_attainment", 0.0),
+        "deadline_miss_rate": rates.get("deadline_miss_rate", 0.0),
+        "lc_arrived": extras.get("slo_arrived_latency_critical", 0.0),
+        "lc_hits": extras.get("slo_deadline_hits_latency_critical", 0.0),
         "preemptions": extras.get("slo_preemptions", 0.0),
         "preempted_kernels": extras.get("slo_preempted_kernels", 0.0),
         "p99_ms": result.percentile_latency(99) / 1000.0,

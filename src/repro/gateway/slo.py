@@ -122,6 +122,26 @@ def parse_slo_mix(text: str, app_ids: Sequence[str]) -> SLOSpec:
     return SLOSpec(policies=policies)
 
 
+def slo_rates(extras: Mapping[str, float]) -> Dict[str, float]:
+    """The latency-critical class's headline rates from ``slo_*`` extras.
+
+    ``slo_attainment`` is deadline hits over arrivals (gate-shed and
+    fault-shed requests count against it, as in the SLO-attainment
+    figures of serving papers); ``deadline_miss_rate`` is misses over
+    completions.  Each is present only when its denominator is positive.
+    """
+    rates: Dict[str, float] = {}
+    arrived = float(extras.get(f"slo_arrived_{LATENCY_CRITICAL}", 0.0))
+    completed = float(extras.get(f"slo_completed_{LATENCY_CRITICAL}", 0.0))
+    if arrived > 0.0:
+        hits = float(extras.get(f"slo_deadline_hits_{LATENCY_CRITICAL}", 0.0))
+        rates["slo_attainment"] = hits / arrived
+    if completed > 0.0:
+        misses = float(extras.get(f"slo_deadline_misses_{LATENCY_CRITICAL}", 0.0))
+        rates["deadline_miss_rate"] = misses / completed
+    return rates
+
+
 def check_slo_accounting(
     extras: Mapping[str, float],
     offered: Optional[Mapping[str, float]] = None,

@@ -1,6 +1,5 @@
-"""Metrics: latency stats, ISO deviation, bubble accounting."""
+"""Metrics: latency stats, ISO deviation, result I/O."""
 
-from .bubbles import BubbleReport, bubbles_from_timeline
 from .deviation import average_deviation_us, latency_deviation_us, speedup_vs_iso
 from .io import (
     compare_results,
@@ -19,8 +18,6 @@ from .stats import (
 
 __all__ = [
     "average_deviation_us",
-    "BubbleReport",
-    "bubbles_from_timeline",
     "compare_results",
     "FaultStats",
     "latency_deviation_us",

@@ -9,8 +9,8 @@ on the CLI, or the ``REPRO_TRACE`` environment variable) and costs
 nothing when off: emission sites are ``if trace is not None`` guards
 off the hot path.
 
-See ``docs/observability.md`` for the event taxonomy, the metrics
-namespace table, and the Perfetto workflow.
+See ``docs/observability.md`` for the event taxonomy, the metric
+names and merge rules, and the Perfetto workflow.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .exporters import save_jsonl, save_perfetto, to_perfetto
 from .registry import (
     KERNEL_BUCKETS_US,
     LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -92,10 +90,6 @@ class Observability:
         if self.tracer is not None:
             self.tracer.emit(etype, app_id, **args)
 
-    def legacy_extras(self):
-        """The registry snapshot under the historical ``extras`` keys."""
-        return self.registry.legacy_extras()
-
 
 __all__ = [
     "Observability",
@@ -104,8 +98,6 @@ __all__ = [
     "TraceEvent",
     "DECISION_TYPES",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "LATENCY_BUCKETS_US",
     "KERNEL_BUCKETS_US",

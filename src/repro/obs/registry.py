@@ -1,24 +1,14 @@
-"""A namespaced metrics registry for serving runs.
+"""The metrics registry of one serving run.
 
-One :class:`MetricsRegistry` lives for one ``serve()`` and replaces the
-historical scatter of ad-hoc ``engine_*`` / ``config_cache_*`` /
-``fault_*`` entries in ``ServingResult.extras``: every layer registers
-its counters, gauges, and histograms under a slash-namespaced metric
-name (``engine/events_processed``, ``bless/squads``,
-``latency/request_us``), and the harness snapshots the registry once at
-the end of the run.
-
-Two snapshot views exist:
-
-* :meth:`MetricsRegistry.snapshot` — the full namespaced view,
-  histograms expanded into ``<name>/le_<bound>`` cumulative buckets
-  plus ``<name>/count`` and ``<name>/sum`` (Prometheus-style);
-* :meth:`MetricsRegistry.legacy_extras` — the **compatibility shim**:
-  scalar metrics only, renamed to the historical ``extras`` keys
-  (``engine/x`` → ``engine_x``, ``fault/x`` → ``fault_x``,
-  ``bless/x`` → ``x``), in registration order.  Golden result files
-  predate the registry, so this view is byte-identical to what the
-  pre-registry harness wrote.
+One :class:`MetricsRegistry` lives for one ``serve()``.  Every layer
+sets its end-of-run tallies as plain scalars under their final
+``ServingResult.extras`` keys (``engine_events_processed``,
+``fault_shed_requests``, ``squads``, ``config_cache_hit_rate``), and
+:meth:`MetricsRegistry.scalars` *is* the result's ``extras``: no key is
+renamed on the way out.  Histograms (``latency/request_us``) are
+registry-only; :meth:`MetricsRegistry.snapshot` expands them into
+``<name>/le_<bound>`` cumulative buckets plus ``<name>/count`` and
+``<name>/sum`` (Prometheus-style).
 
 Metric mutation is deterministic (no wall clock, no sampling), so two
 same-seed runs produce identical snapshots.
@@ -27,7 +17,7 @@ same-seed runs produce identical snapshots.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -49,39 +39,6 @@ KERNEL_BUCKETS_US: Tuple[float, ...] = (
     100.0, 250.0, 500.0,
     1e3, 2.5e3, 5e3,
 )
-
-#: Namespaces whose metrics the compatibility shim exports under the
-#: historical ``extras`` key scheme; ``bless`` drops its prefix (the
-#: runtime's squad/context counters were historically unprefixed).
-_LEGACY_BARE_NAMESPACE = "bless"
-
-
-class Counter:
-    """A monotonically increasing scalar."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: Number = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        self.value += amount
-
-
-class Gauge:
-    """A scalar that can move in either direction."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: Number) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -125,9 +82,6 @@ class Histogram:
         return items
 
 
-Metric = Union[Counter, Gauge, Histogram]
-
-
 def _check_name(name: str) -> None:
     if not name or name.startswith("/") or name.endswith("/"):
         raise ValueError(f"bad metric name {name!r}")
@@ -137,92 +91,49 @@ def _check_name(name: str) -> None:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of namespaced metrics.
+    """One run's scalars and histograms, in registration order.
 
-    Registration order is preserved, which is what makes
-    :meth:`legacy_extras` reproduce the historical ``extras`` key order
-    byte for byte.
+    A scalar is a plain named value, set once per run under its final
+    ``extras`` key; :meth:`scalars` is ``ServingResult.extras``, so the
+    key order of a result is the order its metrics were registered.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
+        self._scalars: Dict[str, float] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
-    # -- construction --------------------------------------------------
-    def _get_or_create(self, name: str, kind: type, *args) -> Metric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            _check_name(name)
-            metric = kind(name, *args)
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
-            )
-        return metric
+    def _claim(self, name: str) -> None:
+        if name in self._scalars or name in self._histograms:
+            raise ValueError(f"metric {name!r} is already registered")
+        _check_name(name)
 
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
+    def set(self, name: str, value: Number) -> None:
+        """Register the scalar ``name`` (set once per run)."""
+        self._claim(name)
+        self._scalars[name] = float(value)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
+    def import_mapping(self, prefix: str, values: Mapping[str, Number]) -> None:
+        """Set ``<prefix><key>`` for every entry of a tally mapping, in order."""
+        for key, value in values.items():
+            self.set(prefix + key, value)
 
     def histogram(
         self, name: str, boundaries: Sequence[float] = LATENCY_BUCKETS_US
     ) -> Histogram:
-        metric = self._metrics.get(name)
-        if isinstance(metric, Histogram):
-            return metric
-        return self._get_or_create(name, Histogram, boundaries)
+        """Get or create the histogram ``name``."""
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            self._claim(name)
+            histogram = self._histograms[name] = Histogram(name, boundaries)
+        return histogram
 
-    def import_mapping(self, namespace: str, values: Mapping[str, Number]) -> None:
-        """Bulk-register ``namespace/key`` gauges from a plain mapping.
+    def scalars(self) -> Dict[str, float]:
+        """The scalar view: every scalar under its ``extras`` key."""
+        return dict(self._scalars)
 
-        Used by the harness to pull end-of-run tallies (engine counters,
-        fault stats, cache stats) into the registry in their historical
-        order.
-        """
-        for key, value in values.items():
-            self.gauge(f"{namespace}/{key}").set(float(value))
-
-    # -- introspection -------------------------------------------------
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return list(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    # -- snapshots -----------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
-        """The full namespaced view (histograms expanded into buckets)."""
-        out: Dict[str, float] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                out.update(metric.snapshot_items())
-            else:
-                out[name] = float(metric.value)
-        return out
-
-    def legacy_extras(self) -> Dict[str, float]:
-        """The compatibility shim: scalars under the historical keys.
-
-        ``engine/x`` → ``engine_x``, ``fault/x`` → ``fault_x``,
-        ``config_cache/x`` → ``config_cache_x``, and the runtime's own
-        ``bless/x`` metrics drop their prefix (→ ``x``), exactly as the
-        pre-registry harness wrote them.  Histograms are registry-only:
-        they did not exist before the registry, so adding them to
-        ``extras`` would churn the golden schemas.
-        """
-        out: Dict[str, float] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                continue
-            namespace, _, rest = name.partition("/")
-            if namespace == _LEGACY_BARE_NAMESPACE and rest:
-                key = rest.replace("/", "_")
-            else:
-                key = name.replace("/", "_")
-            out[key] = float(metric.value)
+        """Scalars plus every histogram's cumulative buckets."""
+        out = self.scalars()
+        for histogram in self._histograms.values():
+            out.update(histogram.snapshot_items())
         return out

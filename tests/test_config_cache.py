@@ -18,7 +18,7 @@ from repro.core.profiler import OfflineProfiler
 from repro.core.runtime import BlessRuntime
 from repro.core.squad import KernelSquad, SquadEntry
 from repro.gpusim.kernel import KernelSpec
-from repro.metrics.stats import CacheStats
+from repro.metrics.stats import CacheStats, ServingResult
 from repro.workloads.suite import bind_closed_loop
 
 from . import config_oracle
@@ -303,11 +303,18 @@ class TestCacheStats:
         assert stats.lookups == 4
         assert stats.hit_rate == pytest.approx(0.75)
         assert CacheStats().hit_rate == 0.0
-        merged = stats.merge(CacheStats(hits=1, misses=3, evictions=2))
-        assert merged.hits == 4 and merged.misses == 4
-        assert merged.evictions == 2
-        flat = merged.as_dict(prefix="config_cache_")
-        assert flat["config_cache_hit_rate"] == pytest.approx(0.5)
+        # Merged results recompute the rate from the summed counters.
+        parts = []
+        for part in (stats, CacheStats(hits=1, misses=3, evictions=2)):
+            result = ServingResult(system="TEST")
+            result.extras = {
+                f"config_cache_{key}": value for key, value in part.as_dict().items()
+            }
+            parts.append(result)
+        merged = ServingResult.merge(parts).extras
+        assert merged["config_cache_hits"] == 4 and merged["config_cache_misses"] == 4
+        assert merged["config_cache_evictions"] == 2
+        assert merged["config_cache_hit_rate"] == pytest.approx(0.5)
 
     def test_runtime_reports_hit_rate(self):
         apps = [

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.gpusim.engine import TimelineSegment
-from repro.metrics.bubbles import bubbles_from_timeline, _merge_windows
+from repro.analysis.bubbles import _merge_windows
 from repro.metrics.deviation import (
     average_deviation_us,
     latency_deviation_us,
@@ -119,26 +118,3 @@ class TestBubbles:
 
     def test_merge_drops_empty(self):
         assert _merge_windows([(5, 5), (1, 2)]) == [(1, 2)]
-
-    def test_full_busy_no_bubbles(self):
-        timeline = [TimelineSegment(0.0, 10.0, {1: ("a", 1.0, 1.0)})]
-        report = bubbles_from_timeline(timeline, [(0.0, 10.0)])
-        assert report.bubble_integral == pytest.approx(0.0)
-        assert report.mean_utilization == pytest.approx(1.0)
-
-    def test_half_busy_half_bubble(self):
-        timeline = [TimelineSegment(0.0, 10.0, {1: ("a", 0.5, 1.0)})]
-        report = bubbles_from_timeline(timeline, [(0.0, 10.0)])
-        assert report.bubble_ratio == pytest.approx(0.5)
-
-    def test_idle_outside_window_not_a_bubble(self):
-        timeline = [TimelineSegment(0.0, 10.0, {1: ("a", 1.0, 1.0)})]
-        # In-flight only for the first half; the busy part covers it.
-        report = bubbles_from_timeline(timeline, [(0.0, 5.0)])
-        assert report.bubble_integral == pytest.approx(0.0)
-        assert report.inflight_us == pytest.approx(5.0)
-
-    def test_empty_windows(self):
-        report = bubbles_from_timeline([], [])
-        assert report.bubble_ratio == 0.0
-        assert report.mean_utilization == 0.0

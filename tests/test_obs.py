@@ -2,9 +2,9 @@
 
 The load-bearing guarantees pinned here:
 
-* the metrics-registry compatibility shim reproduces the historical
-  ``ServingResult.extras`` keys (and nothing else) — golden result
-  files must not churn;
+* every system's ``ServingResult.extras`` is its metrics registry's
+  scalar view, in the historical key order — golden result files must
+  not churn;
 * decision tracing is strictly opt-in: with tracing off the engine and
   runtime carry ``trace = None`` and behave identically;
 * same seed + same fault plan ⇒ **byte-identical** trace files across
@@ -22,6 +22,8 @@ import math
 import pytest
 
 from repro import BlessRuntime, bind_load, symmetric_pair
+from repro.experiments.common import INFERENCE_SYSTEMS
+from repro.gateway import parse_slo_mix
 from repro.gpusim.faults import FaultPlan
 from repro.obs import (
     MetricsRegistry,
@@ -53,17 +55,17 @@ def serve_traced(trace=True, faults=True, requests=3):
 
 
 class TestRegistry:
-    def test_counter_gauge_histogram(self):
+    def test_scalar_and_histogram_snapshot(self):
         reg = MetricsRegistry()
-        reg.counter("engine/events").inc()
-        reg.counter("engine/events").inc(2)
-        reg.gauge("bless/squads").set(5)
+        reg.set("engine_events", 3)
+        reg.set("squads", 5)
         hist = reg.histogram("latency/request_us", boundaries=(10.0, 100.0))
         for value in (5.0, 50.0, 500.0):
             hist.observe(value)
+        assert reg.scalars() == {"engine_events": 3.0, "squads": 5.0}
         snap = reg.snapshot()
-        assert snap["engine/events"] == 3.0
-        assert snap["bless/squads"] == 5.0
+        assert snap["engine_events"] == 3.0
+        assert snap["squads"] == 5.0
         assert snap["latency/request_us/le_10"] == 1.0
         assert snap["latency/request_us/le_100"] == 2.0
         assert snap["latency/request_us/le_inf"] == 3.0
@@ -72,20 +74,19 @@ class TestRegistry:
 
     def test_get_or_create_is_idempotent_and_typed(self):
         reg = MetricsRegistry()
-        assert reg.counter("a/b") is reg.counter("a/b")
-        with pytest.raises(TypeError):
-            reg.gauge("a/b")
-
-    def test_counter_rejects_decrease(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("a/b").inc(-1)
+        assert reg.histogram("a/b") is reg.histogram("a/b")
+        reg.set("squads", 1)
+        # A scalar is set once per run, and a name has one kind.
+        for clash in (lambda: reg.set("squads", 2), lambda: reg.set("a/b", 1),
+                      lambda: reg.histogram("squads")):
+            with pytest.raises(ValueError):
+                clash()
 
     def test_bad_names_rejected(self):
         reg = MetricsRegistry()
         for bad in ("", "/x", "x/", "sp ace/x", "dash-ns/x"):
             with pytest.raises(ValueError):
-                reg.counter(bad)
+                reg.set(bad, 1)
 
     def test_histogram_boundaries_must_increase(self):
         reg = MetricsRegistry()
@@ -97,40 +98,23 @@ class TestRegistry:
     def test_default_latency_buckets_are_sorted(self):
         assert list(LATENCY_BUCKETS_US) == sorted(LATENCY_BUCKETS_US)
 
-    def test_legacy_shim_mapping(self):
-        reg = MetricsRegistry()
-        reg.gauge("engine/events_processed").set(7)
-        reg.gauge("fault/shed_requests").set(1)
-        reg.gauge("config_cache/hits").set(3)
-        reg.gauge("bless/squads").set(9)
-        reg.histogram("latency/request_us").observe(1.0)
-        legacy = reg.legacy_extras()
-        assert legacy == {
-            "engine_events_processed": 7.0,
-            "fault_shed_requests": 1.0,
-            "config_cache_hits": 3.0,
-            "squads": 9.0,
-        }
-        # Registration order is preserved (extras schema stability).
-        assert list(legacy) == [
-            "engine_events_processed",
-            "fault_shed_requests",
-            "config_cache_hits",
-            "squads",
-        ]
-
-    def test_import_mapping_preserves_order(self):
-        reg = MetricsRegistry()
-        reg.import_mapping("engine", {"b": 1, "a": 2})
-        assert reg.names() == ["engine/b", "engine/a"]
-
 
 class TestExtrasCompatibility:
-    def test_extras_equal_legacy_shim(self):
-        system, result = serve_traced(trace=False)
-        legacy = system.obs.legacy_extras()
-        for key, value in legacy.items():
-            assert result.extras[key] == value
+    @pytest.mark.parametrize("name", sorted(INFERENCE_SYSTEMS))
+    def test_extras_equal_registry_scalars(self, name):
+        """Every system's extras is its registry's scalar view: same
+        keys, same order, same values, under faults and an SLO mix."""
+        apps = symmetric_pair("R50")
+        system = INFERENCE_SYSTEMS[name](
+            fault_plan=FaultPlan(kernel_failure_rate=0.05, seed=7),
+            slo=parse_slo_mix("lc,be", [app.app_id for app in apps]),
+        )
+        result = system.serve(bind_load(apps, "B", requests=3))
+        assert "fault_shed_requests" in result.extras
+        assert "slo_arrived_latency_critical" in result.extras
+        assert list(result.extras.items()) == list(
+            system.obs.registry.scalars().items()
+        )
 
     def test_extras_schema_unchanged_by_tracing(self):
         _, traced = serve_traced(trace=True)
@@ -140,8 +124,8 @@ class TestExtrasCompatibility:
 
     def test_extras_schema_pinned(self):
         # The exact historical key order of a BLESS fault run, as
-        # written before the registry existed.  The shim must reproduce
-        # it byte for byte — this is what keeps golden files stable.
+        # written before the registry existed.  The registry must
+        # reproduce it byte for byte — this keeps golden files stable.
         system, result = serve_traced(trace=False)
         assert list(result.extras) == [
             "engine_events_processed",
@@ -187,12 +171,12 @@ class TestExtrasCompatibility:
             "config_cache_hit_rate",
         ]
         # And the registry's full snapshot carries the same scalars
-        # under their namespaced names (histograms are registry-only).
+        # under the same names (histograms are registry-only).
         snapshot = system.obs.registry.snapshot()
-        assert snapshot["engine/events_processed"] == (
+        assert snapshot["engine_events_processed"] == (
             result.extras["engine_events_processed"]
         )
-        assert snapshot["bless/squads"] == result.extras["squads"]
+        assert snapshot["squads"] == result.extras["squads"]
         assert "latency/request_us/count" in snapshot
 
 

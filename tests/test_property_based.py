@@ -3,6 +3,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.bubbles import _merge_windows
 from repro.apps.application import Application, AppKind, Request
 from repro.core.config import BlessConfig
 from repro.core.configurator import composition_count
@@ -13,7 +14,6 @@ from repro.gpusim.device import MemoryPool
 from repro.gpusim.hwsched import waterfill
 from repro.gpusim.interference import InterferenceModel
 from repro.gpusim.kernel import KernelSpec
-from repro.metrics.bubbles import _merge_windows
 
 from .config_oracle import compositions
 

@@ -253,10 +253,12 @@ class TestServingResultMerge:
         assert merged.extras["fault_shed_requests"] == 3.0
 
     def test_hit_rate_recomputed_not_summed(self):
-        a = self.res("a", 100.0, 0.5, extras={"cache_hits": 9.0, "cache_misses": 1.0, "cache_hit_rate": 0.9})
-        b = self.res("b", 100.0, 0.5, extras={"cache_hits": 0.0, "cache_misses": 10.0, "cache_hit_rate": 0.0})
+        a = self.res("a", 100.0, 0.5, extras={
+            "config_cache_hits": 9.0, "config_cache_misses": 1.0, "config_cache_hit_rate": 0.9})
+        b = self.res("b", 100.0, 0.5, extras={
+            "config_cache_hits": 0.0, "config_cache_misses": 10.0, "config_cache_hit_rate": 0.0})
         merged = ServingResult.merge([a, b], num_slots=2)
-        assert merged.extras["cache_hit_rate"] == pytest.approx(0.45)
+        assert merged.extras["config_cache_hit_rate"] == pytest.approx(0.45)
 
     def test_num_slots_counts_idle_capacity(self):
         a = self.res("a", 100.0, 1.0)

@@ -65,17 +65,12 @@ class SharingSystem(abc.ABC):
         validate: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[bool] = None,
-        gpu_index: Optional[int] = None,
         slo: Optional[SLOSpec] = None,
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.record_timeline = record_timeline
         self.hw_policy = hw_policy
         self.validate = validate
-        # When this system serves one GPU of a §4.2.2 cluster, the
-        # controller sets gpu_index so every trace record this run
-        # emits carries its GPU identity (Perfetto per-GPU tracks).
-        self.gpu_index = gpu_index
         # Observability: the metrics registry always rides along; the
         # decision tracer only when `trace=True` (or REPRO_TRACE is
         # set).  A fresh bundle is created per serve() so repeated
@@ -211,8 +206,6 @@ class SharingSystem(abc.ABC):
         self.registry = ContextRegistry(self.engine.device)
         self.obs = Observability(self._trace_flag)
         self.obs.begin_serve(self.engine)
-        if self.obs.tracer is not None and self.gpu_index is not None:
-            self.obs.tracer.base_args["gpu"] = self.gpu_index
         self.clients = {}
         self._result = ServingResult(system=self.name)
         self._inflight = 0

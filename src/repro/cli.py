@@ -40,7 +40,7 @@ from .experiments.common import INFERENCE_SYSTEMS
 from .metrics.io import save_results
 from .viz.charts import bar_chart, reduction_table
 from .viz.timeline import render_timeline
-from .workloads.suite import QUOTAS_2MODEL, bind_load
+from .workloads.suite import bind_load
 
 
 def _apps_from_args(models: List[str], quotas: Optional[List[float]], training: bool):
@@ -599,25 +599,18 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_sweep_quota(args) -> int:
-    from .baselines.iso import ISOSystem
-    from .core.runtime import BlessRuntime
+    from .experiments.fig12_latency_chart import run
 
     if len(args.models) != 2:
         print("sweep-quota needs exactly two --models")
         return 2
     print(f"{'quotas':>13s} {'BLESS app1':>11s} {'BLESS app2':>11s} "
           f"{'ISO app1':>9s} {'ISO app2':>9s}")
-    for quota_a, quota_b in QUOTAS_2MODEL:
-        apps = _apps_from_args(args.models, [quota_a, quota_b], training=False)
-        bless = BlessRuntime().serve(bind_load(apps, args.load, requests=args.requests))
-        iso = ISOSystem().serve(bind_load(apps, args.load, requests=args.requests))
-        ids = [a.app_id for a in apps]
+    for p in run(args.models[0], args.models[1], args.load, args.requests):
         print(
-            f"({quota_a:.2f},{quota_b:.2f})"
-            f" {bless.mean_latency(ids[0]) / 1000:11.2f}"
-            f" {bless.mean_latency(ids[1]) / 1000:11.2f}"
-            f" {iso.mean_latency(ids[0]) / 1000:9.2f}"
-            f" {iso.mean_latency(ids[1]) / 1000:9.2f}"
+            f"({p['quota_a']:.2f},{p['quota_b']:.2f})"
+            f" {p['bless_a_ms']:11.2f} {p['bless_b_ms']:11.2f}"
+            f" {p['iso_a_ms']:9.2f} {p['iso_b_ms']:9.2f}"
         )
     return 0
 

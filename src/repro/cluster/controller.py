@@ -11,10 +11,10 @@ same :class:`~repro.parallel.ServeCell` process pool the experiment
 harness uses (``jobs=`` / ``REPRO_JOBS``); results are merged in GPU
 slot-index order, so parallel output is byte-identical to serial.
 
-When tracing is on the controller owns a :class:`ClusterTracer`: its
-own decisions (``cluster.place`` …) land on the cluster clock, and each
-GPU's :class:`DecisionTracer` stream is absorbed with a ``gpu`` tag so
-the Perfetto export lays every GPU out on its own track.
+When tracing is on the controller owns an engine-less
+:class:`DecisionTracer`: its own decisions (``cluster.place`` …) land on
+the cluster clock, and each GPU's stream is absorbed with a ``gpu`` tag
+so the Perfetto export lays every GPU out on its own track.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..catalog.ingest import ingest_metrics_safe, result_metrics
 from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
-from ..obs import ClusterTracer, resolve_tracing
+from ..obs import DecisionTracer, resolve_tracing
 from ..obs.events import CLUSTER_COST, CLUSTER_INTERFERENCE, CLUSTER_PLACE
 from ..parallel import (
     ServeCell,
@@ -72,7 +72,7 @@ def serve_gpus(
     system_factory: SystemFactory,
     system_kwargs: Optional[dict] = None,
     jobs: Optional[int] = None,
-    tracer: Optional[ClusterTracer] = None,
+    tracer: Optional[DecisionTracer] = None,
     offset_us: float = 0.0,
     experiment: str = "cluster",
     backend: Optional[str] = None,
@@ -94,15 +94,11 @@ def serve_gpus(
     per_gpu: Dict[int, ServingResult] = {}
     if tracer is not None:
         for gpu_index, bindings in gpu_bindings:
-            system = system_factory(
-                **{**kwargs, "trace": True, "gpu_index": gpu_index}
-            )
+            system = system_factory(**{**kwargs, "trace": True})
             per_gpu[gpu_index] = system.serve(list(bindings))
             if system.obs.tracer is not None:
                 tracer.absorb(
-                    system.obs.tracer.records,
-                    offset_us=offset_us,
-                    gpu=gpu_index,
+                    system.obs.tracer.records, gpu_index, offset_us=offset_us
                 )
         return per_gpu
     cells = [
@@ -161,8 +157,8 @@ class ClusterController:
         )
         self.system_factory = system_factory
         self.tracing = resolve_tracing(trace)
-        self.tracer: Optional[ClusterTracer] = (
-            ClusterTracer() if self.tracing else None
+        self.tracer: Optional[DecisionTracer] = (
+            DecisionTracer() if self.tracing else None
         )
 
     @property

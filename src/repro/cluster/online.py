@@ -25,7 +25,8 @@ Per epoch the orchestrator:
 
 Epoch results chain into one :class:`ServingResult` via
 :meth:`ServingResult.merge` with per-epoch cluster-clock offsets, and
-every decision lands on the :class:`ClusterTracer` (``cluster.place`` /
+every decision lands on an engine-less
+:class:`~repro.obs.tracer.DecisionTracer` (``cluster.place`` /
 ``cluster.shed`` / ``cluster.migrate`` / ``cluster.depart`` /
 ``cluster.epoch``) for the Perfetto per-GPU view.
 """
@@ -39,7 +40,7 @@ from ..apps.application import Application
 from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
-from ..obs import ClusterTracer, resolve_tracing
+from ..obs import DecisionTracer, resolve_tracing
 from ..obs.events import (
     CLUSTER_COST,
     CLUSTER_DEPART,
@@ -167,7 +168,6 @@ class OnlineClusterController:
         migrate: bool = False,
         degrade_factors: Sequence[float] = DEFAULT_DEGRADE_FACTORS,
         trace: Optional[bool] = None,
-        exact_placement: bool = False,
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.system_kwargs = dict(system_kwargs or {})
@@ -176,14 +176,13 @@ class OnlineClusterController:
             self.gpu_spec,
             policy,
             slo=self.system_kwargs.get("slo"),
-            exact=exact_placement,
         )
         self.system_factory = system_factory
         self.migrate = migrate
         self.degrade_factors = tuple(degrade_factors)
         self.tracing = resolve_tracing(trace)
-        self.tracer: Optional[ClusterTracer] = (
-            ClusterTracer() if self.tracing else None
+        self.tracer: Optional[DecisionTracer] = (
+            DecisionTracer() if self.tracing else None
         )
         self.stats = ClusterStats()
         # app_id -> the binding's original process factory; placements

@@ -78,7 +78,6 @@ class BlessRuntime(SharingSystem):
         validate: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[bool] = None,
-        gpu_index: Optional[int] = None,
         slo: Optional[SLOSpec] = None,
     ):
         super().__init__(
@@ -88,7 +87,6 @@ class BlessRuntime(SharingSystem):
             validate=validate,
             fault_plan=fault_plan,
             trace=trace,
-            gpu_index=gpu_index,
             slo=slo,
         )
         self.config = config

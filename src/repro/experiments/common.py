@@ -33,20 +33,7 @@ from ..baselines import (
 )
 from ..core import BlessRuntime
 from ..metrics.stats import ServingResult
-
-# The pool machinery itself lives in ``repro.parallel`` (so the cluster
-# controller can reuse it without importing the experiments layer);
-# these re-exports keep the historical import surface working.
-from ..parallel import (  # noqa: F401  (re-exported API)
-    BACKENDS,
-    CellExecutionError,
-    ServeCell,
-    _caller_experiment,
-    _reset_pool,
-    resolve_backend,
-    resolve_jobs,
-    run_cells,
-)
+from ..parallel import ServeCell, _caller_experiment, run_cells
 from ..workloads.suite import WorkloadBinding
 
 # The comparison matrix of §6.1 for inference workloads.

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..apps.models import MODEL_NAMES
+from ..parallel import ServeCell, run_cells
 from ..workloads.suite import (
     bind_continuous,
     bind_load,
@@ -26,10 +27,8 @@ from ..workloads.suite import (
 from .common import (
     INFERENCE_SYSTEMS,
     TRAINING_SYSTEMS,
-    ServeCell,
     format_table,
     mean_latency_ms,
-    run_cells,
     serve_all,
 )
 

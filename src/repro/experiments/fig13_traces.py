@@ -15,14 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apps.models import inference_app
+from ..parallel import ServeCell, run_cells
 from ..workloads.suite import bind_trace, mutual_pairs
-from .common import (
-    INFERENCE_SYSTEMS,
-    ServeCell,
-    format_table,
-    mean_latency_ms,
-    run_cells,
-)
+from .common import INFERENCE_SYSTEMS, format_table, mean_latency_ms
 
 _SYSTEMS = ("TEMPORAL", "MIG", "GSLICE", "BLESS")
 

@@ -17,8 +17,9 @@ import numpy as np
 from ..apps.models import MODEL_NAMES, inference_app
 from ..baselines.iso import iso_targets_us
 from ..metrics.deviation import latency_deviation_us
+from ..parallel import ServeCell, run_cells
 from ..workloads.suite import QUOTAS_2MODEL, bind_load
-from .common import INFERENCE_SYSTEMS, ServeCell, run_cells
+from .common import INFERENCE_SYSTEMS
 
 
 def _pairs() -> List[List[str]]:

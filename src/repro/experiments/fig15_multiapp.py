@@ -15,14 +15,9 @@ from typing import Dict, List, Optional
 
 from ..baselines.iso import iso_targets_us
 from ..metrics.deviation import latency_deviation_us
+from ..parallel import ServeCell, run_cells
 from ..workloads.suite import bind_load, multi_app_mix
-from .common import (
-    INFERENCE_SYSTEMS,
-    ServeCell,
-    format_table,
-    mean_latency_ms,
-    run_cells,
-)
+from .common import INFERENCE_SYSTEMS, format_table, mean_latency_ms
 
 _SYSTEMS = ("TEMPORAL", "GSLICE", "UNBOUND", "BLESS")
 

@@ -26,8 +26,9 @@ from typing import Dict, Optional
 
 from ..catalog.ingest import ingest_metrics_safe
 from ..gpusim.faults import FaultPlan
+from ..parallel import ServeCell, run_cells
 from ..workloads.suite import bind_load, symmetric_pair
-from .common import INFERENCE_SYSTEMS, ServeCell, format_table, run_cells
+from .common import INFERENCE_SYSTEMS, format_table
 
 _SYSTEMS = ("GSLICE", "UNBOUND", "BLESS")
 _FAILURE_RATES = (0.0, 0.02, 0.05, 0.10)

@@ -46,6 +46,7 @@ from ..gateway.slo import (
     slo_rates,
 )
 from ..metrics.stats import ServingResult
+from ..parallel import ServeCell, run_cells
 from ..workloads.arrivals import ClosedLoop, Continuous
 from ..workloads.suite import (
     WorkloadBinding,
@@ -53,7 +54,7 @@ from ..workloads.suite import (
     estimated_solo_us,
     multi_app_mix,
 )
-from .common import INFERENCE_SYSTEMS, ServeCell, format_table, run_cells
+from .common import INFERENCE_SYSTEMS, format_table
 
 _SWEEP_SYSTEMS = ("ISO", "UNBOUND", "MIG", "BLESS")
 #: Offered load = solo-latency pace / think time (1.0 = each client

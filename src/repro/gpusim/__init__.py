@@ -17,7 +17,6 @@ from .kernel import KernelInstance, KernelKind, KernelSpec
 from .mig import MIG_PROFILES, MIGInstance, assign_slices, nearest_profile, partition
 from .pcie import PCIeChannel
 from .stream import DeviceQueue
-from .tracing import KernelEvent, KernelTracer, load_jsonl, summarize_trace
 
 __all__ = [
     "Allocation",
@@ -44,8 +43,4 @@ __all__ = [
     "resolve_fault_plan",
     "SimEngine",
     "TimelineSegment",
-    "KernelEvent",
-    "KernelTracer",
-    "load_jsonl",
-    "summarize_trace",
 ]

@@ -34,7 +34,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracer import ClusterTracer, DecisionTracer, load_records_jsonl
+from .tracer import DecisionTracer, load_records_jsonl
 
 #: Environment variable that turns tracing on for any ``serve()``.
 #: Falsy values ("", "0", "false", "off", "no") leave tracing off; any
@@ -93,7 +93,6 @@ class Observability:
 
 __all__ = [
     "Observability",
-    "ClusterTracer",
     "DecisionTracer",
     "TraceEvent",
     "DECISION_TYPES",

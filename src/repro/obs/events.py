@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-# Kernel activity (the KernelTracer record, unified onto the stream).
+# Kernel activity: one record per completed kernel, on the same stream.
 KERNEL = "kernel"
 
 # Request lifecycle.

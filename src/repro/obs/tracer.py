@@ -1,12 +1,16 @@
 """The decision tracer: one stream for kernels *and* scheduler choices.
 
-:class:`DecisionTracer` extends the simulator's
-:class:`~repro.gpusim.tracing.KernelTracer` (so every kernel-level
-helper — ``by_app``, ``total_queue_wait_us``, ``save_jsonl`` — keeps
-working) and additionally records every scheduler decision and fault
-event as a :class:`~repro.obs.events.TraceEvent` on the **same
-simulated clock**.  The unified stream (``records``) is what the
-exporters and the post-hoc analyzer consume.
+:class:`DecisionTracer` records every completed kernel, scheduler
+decision and fault event as a :class:`~repro.obs.events.TraceEvent` in
+one list, ``records``, which the exporters and the post-hoc analyzer
+consume.  It works in two modes:
+
+* **With an engine**, it subscribes to the engine's kernel completions
+  and stamps every record with the engine's simulated clock.
+* **Without an engine** (the multi-GPU controllers), it carries its own
+  clock, ``now``, records the controller's decisions on it, and
+  :meth:`~DecisionTracer.absorb` lifts each GPU's stream onto that
+  clock with a ``gpu`` tag.
 
 Attachment is by reference, not subclassing: components that can emit
 decisions (``SimEngine``, ``ExecutionConfigDeterminer``,
@@ -20,70 +24,92 @@ path (pinned by ``benchmarks/test_engine_perf.py``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..gpusim.engine import SimEngine
 from ..gpusim.kernel import KernelInstance
-from ..gpusim.tracing import KernelTracer
 from .events import KERNEL, TraceEvent
 
 
-class DecisionTracer(KernelTracer):
+class DecisionTracer:
     """Records kernel completions plus decision/fault events.
 
-    ``events`` (inherited) stays a pure :class:`KernelEvent` list;
-    ``records`` is the unified :class:`TraceEvent` stream with kernel
+    ``records`` is the unified :class:`TraceEvent` stream, with kernel
     records interleaved at their completion timestamps.
     """
 
-    def __init__(self, engine: SimEngine):
-        super().__init__(engine)
+    def __init__(self, engine: Optional[SimEngine] = None):
+        self.engine = engine
         self.records: List[TraceEvent] = []
-        # Static args stamped onto every record (empty by default, so
-        # ordinary single-GPU traces are byte-identical to before).
-        # The cluster controller sets {"gpu": index} here so per-GPU
-        # streams stay attributable after they are absorbed into one
-        # cluster trace.
-        self.base_args: Dict[str, Any] = {}
-        engine.trace = self
+        # The cluster clock of an engine-less tracer; with an engine
+        # attached, records are stamped with engine.now instead.
+        self.now: float = 0.0
+        if engine is not None:
+            engine.subscribe_finish(self._on_finish)
+            engine.trace = self
 
     # -- kernel records ------------------------------------------------
     def _on_finish(self, kernel: KernelInstance) -> None:
-        super()._on_finish(kernel)
-        event = self.events[-1]
-        args = {
-            "name": event.name,
-            "request_id": event.request_id,
-            "seq": event.seq,
-            "kind": event.kind,
-            "enqueue_us": event.enqueue_us,
-            "start_us": event.start_us,
-            "finish_us": event.finish_us,
-            "sm_fraction": event.sm_fraction,
-            "context_id": event.context_id,
-            "context_limit": event.context_limit,
-        }
-        if self.base_args:
-            args = {**self.base_args, **args}
+        # The engine unmaps the kernel's queue before notifying
+        # subscribers, so the context is captured from the execution
+        # state recorded on the instance (or marked unknown).
+        finish_us = kernel.finish_time or 0.0
         self.records.append(
             TraceEvent(
-                ts_us=event.finish_us,
+                ts_us=finish_us,
                 etype=KERNEL,
-                app_id=event.app_id,
-                args=args,
+                app_id=kernel.app_id,
+                args={
+                    "name": kernel.name,
+                    "request_id": kernel.request_id,
+                    "seq": kernel.seq,
+                    "kind": kernel.spec.kind.value,
+                    "enqueue_us": kernel.enqueue_time or 0.0,
+                    "start_us": kernel.start_time or 0.0,
+                    "finish_us": finish_us,
+                    "sm_fraction": kernel.current_sm_fraction,
+                    "context_id": getattr(kernel, "traced_context_id", -1),
+                    "context_limit": getattr(kernel, "traced_context_limit", 1.0),
+                },
             )
         )
 
     # -- decision records ----------------------------------------------
     def emit(self, etype: str, app_id: str = "", **args: Any) -> None:
-        """Record a decision/fault event stamped with the engine clock."""
-        if self.base_args:
-            args = {**self.base_args, **args}
+        """Record a decision/fault event stamped with the tracer's clock."""
+        now = self.engine.now if self.engine is not None else self.now
         self.records.append(
-            TraceEvent(ts_us=self.engine.now, etype=etype, app_id=app_id, args=args)
+            TraceEvent(ts_us=now, etype=etype, app_id=app_id, args=args)
         )
+
+    def absorb(
+        self, records: List[TraceEvent], gpu: int, offset_us: float = 0.0
+    ) -> int:
+        """Lift one GPU's stream onto this tracer's clock.
+
+        ``offset_us`` is the cluster time at which the GPU's serve
+        started (its local t=0); ``gpu`` becomes every absorbed
+        record's first arg, so the Perfetto export can lay each GPU out
+        on its own track.  Kernel records' embedded
+        ``enqueue/start/finish`` triples are shifted along with
+        ``ts_us`` so slice geometry stays correct.
+        """
+        for record in records:
+            args = {"gpu": gpu, **record.args}
+            if offset_us:
+                for key in ("enqueue_us", "start_us", "finish_us"):
+                    if key in args:
+                        args[key] = args[key] + offset_us
+            self.records.append(
+                TraceEvent(
+                    ts_us=record.ts_us + offset_us,
+                    etype=record.etype,
+                    app_id=record.app_id,
+                    args=args,
+                )
+            )
+        return len(records)
 
     # -- views ---------------------------------------------------------
     def decisions(self) -> List[TraceEvent]:
@@ -106,76 +132,6 @@ class DecisionTracer(KernelTracer):
         return save_jsonl(self.records, path)
 
 
-class ClusterTracer:
-    """A tracer for the multi-GPU orchestrator — no engine attached.
-
-    The cluster controller has no simulated engine of its own: each GPU
-    runs a private :class:`~repro.gpusim.engine.SimEngine`, and cluster
-    time is stitched from epoch makespans (epoch ``e`` starts at the
-    cumulative makespan of epochs ``0..e-1``).  This tracer carries
-    that cluster clock (``now``), records the controller's own
-    decisions (``cluster.place`` / ``cluster.shed`` /
-    ``cluster.migrate`` / ...), and *absorbs* per-GPU
-    :class:`DecisionTracer` streams by shifting them onto the cluster
-    clock and tagging each record with its GPU index — producing one
-    unified stream the standard exporters (Perfetto, JSON lines) and
-    analyzers consume unchanged.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[TraceEvent] = []
-        self.now: float = 0.0
-
-    def emit(self, etype: str, app_id: str = "", **args: Any) -> None:
-        """Record a cluster decision stamped with the cluster clock."""
-        self.records.append(
-            TraceEvent(ts_us=self.now, etype=etype, app_id=app_id, args=args)
-        )
-
-    def absorb(
-        self,
-        records: List[TraceEvent],
-        offset_us: float = 0.0,
-        gpu: Union[int, None] = None,
-    ) -> int:
-        """Lift a per-GPU stream onto the cluster clock.
-
-        ``offset_us`` is the cluster time at which the GPU's serve
-        started (its local t=0); ``gpu`` tags every absorbed record so
-        the Perfetto export can lay each GPU out on its own track.
-        Kernel records' embedded ``enqueue/start/finish`` triples are
-        shifted along with ``ts_us`` so slice geometry stays correct.
-        """
-        for record in records:
-            args = dict(record.args)
-            if gpu is not None:
-                args["gpu"] = gpu
-            if offset_us:
-                for key in ("enqueue_us", "start_us", "finish_us"):
-                    if key in args:
-                        args[key] = args[key] + offset_us
-            self.records.append(
-                TraceEvent(
-                    ts_us=record.ts_us + offset_us,
-                    etype=record.etype,
-                    app_id=record.app_id,
-                    args=args,
-                )
-            )
-        return len(records)
-
-    def decisions(self) -> List[TraceEvent]:
-        return [r for r in self.records if not r.is_kernel]
-
-    def of_type(self, etype: str) -> List[TraceEvent]:
-        return [r for r in self.records if r.etype == etype]
-
-    def save_records_jsonl(self, path: Union[str, Path]) -> int:
-        from .exporters import save_jsonl
-
-        return save_jsonl(self.records, path)
-
-
 def load_records_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
     """Re-load a unified stream written by :meth:`save_records_jsonl`."""
     records: List[TraceEvent] = []
@@ -192,8 +148,3 @@ def load_records_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
             )
         )
     return records
-
-
-def records_as_dicts(records: List[TraceEvent]) -> List[Dict[str, Any]]:
-    """Plain-dict view (handy for tests and ad-hoc notebooks)."""
-    return [asdict(r) for r in records]

@@ -14,11 +14,6 @@ to a serial run:
   of grids back to back, and forking per grid would dominate small
   ones).
 
-It used to live inside ``repro.experiments.common``; it moved here so
-the cluster controller (``repro.cluster``) can reuse it without the
-cluster layer importing the experiments layer.  ``experiments.common``
-re-exports every public name, so existing imports keep working.
-
 ``jobs`` semantics (shared by the CLI, the experiment runners, and the
 cluster controller): ``None`` falls back to the ``REPRO_JOBS``
 environment variable and then to 1 (serial); ``0`` or a negative count

@@ -44,6 +44,30 @@ def fingerprint(result):
     )
 
 
+def assert_gpu_tagged_first(records, placements_by_epoch):
+    """Every per-GPU record's first arg is the GPU its app served on.
+
+    ``placements_by_epoch`` holds one ``{gpu: [app_ids]}`` per served
+    epoch; a ``cluster.epoch`` record closes each epoch's streams.
+    """
+    epoch = 0
+    checked = 0
+    for record in records:
+        if record.etype == "cluster.epoch":
+            epoch += 1
+        if record.etype.startswith("cluster."):
+            continue
+        placement = placements_by_epoch[epoch]
+        gpu_of = {a: gpu for gpu, apps in placement.items() for a in apps}
+        assert next(iter(record.args)) == "gpu"
+        if record.app_id:
+            assert record.args["gpu"] == gpu_of[record.app_id]
+        else:
+            assert record.args["gpu"] in placement
+        checked += 1
+    assert checked > 0
+
+
 def app(app_id, quota, memory_mb=800, model="R50"):
     return inference_app(model).with_quota(quota, app_id=app_id)
 
@@ -219,13 +243,14 @@ class TestController:
         controller = ClusterController(
             num_gpus=2, policy=PlacementPolicy.WORST_FIT, trace=True
         )
-        controller.serve(bind_load(apps, "C", requests=2))
+        result = controller.serve(bind_load(apps, "C", requests=2))
         records = controller.tracer.records
         places = [r for r in records if r.etype == "cluster.place"]
         assert [p.app_id for p in places] == ["a", "b"]
         assert {r.args.get("gpu") for r in records if "gpu" in r.args} == {0, 1}
         # Per-GPU kernel streams were absorbed alongside the decisions.
         assert any(r.is_kernel for r in records)
+        assert_gpu_tagged_first(records, [result.placements])
 
 
 class TestServingResultMerge:
@@ -414,13 +439,15 @@ class TestOnlineController:
         controller = OnlineClusterController(
             num_gpus=2, migrate=True, trace=True
         )
-        controller.serve(
+        result = controller.serve(
             self.schedule([("a", 0.6, 0, 1), ("b", 0.5, 0, None), ("c", 0.5, 1, None)])
         )
         etypes = {r.etype for r in controller.tracer.records}
         assert "cluster.place" in etypes
         assert "cluster.epoch" in etypes
         assert "cluster.depart" in etypes
+        served = [placement for placement in result.placements if placement]
+        assert_gpu_tagged_first(controller.tracer.records, served)
 
     def test_bad_schedules_rejected(self):
         sched = self.schedule([("a", 0.5, 0, None), ("a", 0.5, 1, None)])

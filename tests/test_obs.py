@@ -251,13 +251,6 @@ class TestDecisionStream:
             assert record.args["start_us"] <= record.ts_us
             assert "predicted_us" in record.args
 
-    def test_kernel_records_match_kernel_tracer(self):
-        system, _ = serve_traced(faults=False)
-        tracer = system.obs.tracer
-        kernel_records = [r for r in tracer.records if r.is_kernel]
-        assert len(kernel_records) == len(tracer.events)
-        assert kernel_records[0].args["name"] == tracer.events[0].name
-
 
 class TestDeterminism:
     def test_same_seed_traces_are_byte_identical(self, tmp_path):

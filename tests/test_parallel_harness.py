@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.models import MODEL_NAMES, inference_app
-from repro.experiments.common import (
-    INFERENCE_SYSTEMS,
+from repro.experiments.common import INFERENCE_SYSTEMS, serve_all
+from repro.parallel import (
     CellExecutionError,
     ServeCell,
     resolve_backend,
     resolve_jobs,
     run_cells,
-    serve_all,
 )
 from repro.workloads.suite import bind_load
 

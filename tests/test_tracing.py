@@ -1,6 +1,4 @@
-"""Tests for the structured kernel-event tracer."""
-
-import math
+"""Tests for the kernel records of the decision tracer's one stream."""
 
 import pytest
 
@@ -10,14 +8,27 @@ from repro.gpusim.context import ContextRegistry
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelInstance, KernelSpec
-from repro.gpusim.tracing import KernelTracer, load_jsonl, summarize_trace
+from repro.obs import DecisionTracer, load_records_jsonl
 from repro.workloads.arrivals import OneShot
 from repro.workloads.suite import WorkloadBinding
+
+KERNEL_FIELDS = [
+    "name",
+    "request_id",
+    "seq",
+    "kind",
+    "enqueue_us",
+    "start_us",
+    "finish_us",
+    "sm_fraction",
+    "context_id",
+    "context_limit",
+]
 
 
 def run_traced(n_kernels=3):
     engine = SimEngine(device=GPUDevice())
-    tracer = KernelTracer(engine)
+    tracer = DecisionTracer(engine)
     registry = ContextRegistry(engine.device)
     ctx = registry.create("app", 0.5, charge_memory=False)
     queue = engine.create_queue(ctx)
@@ -28,81 +39,58 @@ def run_traced(n_kernels=3):
     return tracer
 
 
+def kernels(tracer):
+    return [r for r in tracer.records if r.is_kernel]
+
+
 class TestTracer:
     def test_one_event_per_kernel(self):
-        tracer = run_traced(4)
-        assert len(tracer.events) == 4
-        assert [e.seq for e in tracer.events] == [0, 1, 2, 3]
+        records = kernels(run_traced(4))
+        assert len(records) == 4
+        assert [r.args["seq"] for r in records] == [0, 1, 2, 3]
 
     def test_event_fields(self):
-        tracer = run_traced(1)
-        event = tracer.events[0]
-        assert event.app_id == "app"
-        assert event.kind == "compute"
-        assert event.duration_us == pytest.approx(20.0)
-        assert event.finish_us > event.start_us >= event.enqueue_us
-        assert event.context_limit == pytest.approx(0.5)
-        assert event.context_id >= 0
+        (record,) = kernels(run_traced(1))
+        args = record.args
+        assert list(args) == KERNEL_FIELDS
+        assert record.app_id == "app"
+        assert record.ts_us == args["finish_us"]
+        assert args["kind"] == "compute"
+        assert args["finish_us"] - args["start_us"] == pytest.approx(20.0)
+        assert args["finish_us"] > args["start_us"] >= args["enqueue_us"]
+        assert args["context_limit"] == pytest.approx(0.5)
+        assert args["context_id"] >= 0
 
     def test_queue_wait_measured(self):
-        tracer = run_traced(3)
+        args = kernels(run_traced(3))[2].args
         # Kernel 2 waited for kernels 0 and 1.
-        assert tracer.events[2].queue_wait_us == pytest.approx(40.0, rel=0.01)
-        assert tracer.total_queue_wait_us("app") > 0
-
-    def test_by_app_grouping(self):
-        tracer = run_traced(2)
-        grouped = tracer.by_app()
-        assert set(grouped) == {"app"}
-        assert len(grouped["app"]) == 2
+        assert args["start_us"] - args["enqueue_us"] == pytest.approx(
+            40.0, rel=0.01
+        )
 
     def test_jsonl_roundtrip(self, tmp_path):
         tracer = run_traced(3)
         path = tmp_path / "trace.jsonl"
-        assert tracer.save_jsonl(path) == 3
-        events = load_jsonl(path)
-        assert len(events) == 3
-        assert events[0].name == tracer.events[0].name
-        assert events[2].duration_us == pytest.approx(
-            tracer.events[2].duration_us
-        )
+        assert tracer.save_records_jsonl(path) == 3
+        reloaded = load_records_jsonl(path)
+        assert len(reloaded) == 3
+        original = kernels(tracer)
+        assert reloaded[0].args["name"] == original[0].args["name"]
 
-    def test_summary(self):
-        tracer = run_traced(5)
-        summary = summarize_trace(tracer.events)
-        assert summary["kernels"] == 5
-        assert summary["mean_duration_us"] == pytest.approx(20.0)
-        assert summary["apps"] == 1
+        def duration(record):
+            return record.args["finish_us"] - record.args["start_us"]
 
-    def test_summary_empty_trace_nan_safe(self):
-        # Empty traces keep the full key schema: counts at 0, aggregate
-        # statistics NaN — never a crash or a missing key.
-        empty = summarize_trace([])
-        full = summarize_trace(run_traced(1).events)
-        assert set(empty) == set(full)
-        assert empty["kernels"] == 0.0
-        assert empty["apps"] == 0.0
-        assert math.isnan(empty["span_us"])
-        assert math.isnan(empty["mean_duration_us"])
-        assert math.isnan(empty["mean_queue_wait_us"])
+        assert duration(reloaded[2]) == pytest.approx(duration(original[2]))
 
     def test_trace_of_full_bless_run(self):
         apps = [
             inference_app("VGG").with_quota(0.5, app_id="v"),
             inference_app("R50").with_quota(0.5, app_id="r"),
         ]
-        system = BlessRuntime()
-        # Attach the tracer right after the engine exists: wrap setup.
-        original_setup = system.setup
-
-        def traced_setup():
-            system.tracer = KernelTracer(system.engine)
-            original_setup()
-
-        system.setup = traced_setup
+        system = BlessRuntime(trace=True)
         system.serve([WorkloadBinding(app=a, process_factory=OneShot) for a in apps])
-        total_kernels = sum(len(a.kernels) for a in apps)
-        assert len(system.tracer.events) == total_kernels
+        records = kernels(system.obs.tracer)
+        assert len(records) == sum(len(a.kernels) for a in apps)
         # Restricted contexts appear in the trace when squads go spatial.
-        limits = {e.context_limit for e in system.tracer.events}
+        limits = {r.args["context_limit"] for r in records}
         assert 1.0 in limits

@@ -5,7 +5,10 @@ Replays a repeated-squad serving mix (K=4 requests, N=18 partitions —
 680 compositions per decision; 12 distinct squads replayed 20x each,
 240 decisions) through a fresh ``ExecutionConfigDeterminer``, so every
 replay pays the 12 cold searches and serves the rest from the
-squad-signature LRU.  A timing is the best of ``REPLAYS`` such replays.
+squad-signature LRU.  The process-wide decision table behind the LRU is
+emptied before each replay, so no replay starts warm (a revision
+without that table skips the step).  A timing is the best of
+``REPLAYS`` such replays.
 
 * ``base_speedup`` — the replay's time with the base revision's package
   (the ``base_tree`` fixture in ``conftest.py``) over its time with this
@@ -33,6 +36,7 @@ from conftest import REPO_ROOT, run_leg
 
 from repro.apps.application import Request
 from repro.apps.models import inference_app
+from repro.core import configurator
 from repro.core.config import BlessConfig
 from repro.core.configurator import ExecutionConfigDeterminer
 from repro.core.profiler import OfflineProfiler
@@ -89,6 +93,9 @@ def replay(config, profiles, squads, cached=True):
     of the stream, each through a fresh determiner."""
     best = math.inf
     for _ in range(REPLAYS):
+        decisions_table = getattr(configurator, "_DECISIONS", None)
+        if decisions_table is not None:
+            decisions_table.clear()
         determiner = ExecutionConfigDeterminer(config)
         decide = determiner.determine if cached else determiner._determine_uncached
         started = time.perf_counter()

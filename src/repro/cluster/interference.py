@@ -88,7 +88,8 @@ class InterferenceEstimator:
     interference the placement cost model minimizes.
 
     Estimates are memoized on the group's sorted **profile signatures**
-    — ``(model name, calibration version, kernel count)`` per member —
+    — ``(model name, calibration version, kernel count, profile
+    digest)`` per member, the digest telling same-named traces apart —
     so groups of the same models (regardless of app_id or quota, which
     Eq. 2 does not read) share one computation.  The profiler's
     ``recalibrate()`` bumps the version, invalidating stale entries by
@@ -108,10 +109,12 @@ class InterferenceEstimator:
         self.hits = 0
         self.misses = 0
 
-    def profile_signature(self, app: Application) -> Tuple[str, int, int]:
+    def profile_signature(self, app: Application) -> Tuple[str, int, int, str]:
         """The memoization term one application contributes."""
         profile = self.profiler.profile(app)
-        return (profile.app_name, profile.version, profile.num_kernels)
+        return (
+            profile.app_name, profile.version, profile.num_kernels, profile.digest
+        )
 
     def joint_us(self, group: Sequence[Application]) -> float:
         """Eq. 2 estimate of one full request-wave of ``group``."""

@@ -34,9 +34,11 @@ from ..metrics.stats import CacheStats
 class CachedDecision:
     """An :class:`ExecutionConfig` in app-order-independent form.
 
-    ``split`` / ``rear_counts`` hold per-app values in the signature's
-    canonical app order; ``None`` split means the unrestricted (NSP)
-    configuration was chosen.
+    ``split`` / ``rear_counts`` hold per-app values in the app order
+    it was built with: the signature's canonical order in this LRU, the
+    squad's insertion order in the configurator's process-wide decision
+    table.  ``None`` split means the unrestricted (NSP) configuration
+    was chosen.
     """
 
     split: Optional[Tuple[int, ...]]
@@ -46,7 +48,8 @@ class CachedDecision:
     def rebuild(self, app_ids: Sequence[str]):
         """Materialize an ``ExecutionConfig`` for a concrete squad.
 
-        ``app_ids`` must be the canonical ordering returned by the same
+        ``app_ids`` must be in the order :meth:`from_config` was given:
+        for the LRU, the canonical ordering returned by the same
         ``KernelSquad.signature`` call that produced the cache key.
         """
         from .configurator import ExecutionConfig

@@ -28,7 +28,19 @@ Search cost (the §6.9 decision-latency budget):
 * **memoization** — decisions are cached in an LRU keyed by the squad's
   signature (:meth:`KernelSquad.signature`); consecutive squads from
   the same request mix are near-identical, so steady-state serving hits
-  the cache almost always (``repro.core.config_cache``);
+  the cache almost always (``repro.core.config_cache``).  The LRU and
+  its hit/miss counts belong to one determiner, i.e. one run;
+* **decide once per process** — an LRU miss consults a module-level
+  decision table before searching.  It is keyed on the squad in
+  *insertion* order, one ``(id(profile), kernel window)`` pair per
+  entry, plus the search knobs.  Profiles come from the process-wide
+  profile table (``repro.core.profiler``), so the same app mix in a
+  later run — the next GPU-epoch of an online cluster — finds its
+  decisions there.  Each entry pins its profiles, so an ``id`` is
+  never reused while the entry lives.  Eq. 2 sums in insertion order,
+  so keying on that order (not the LRU's sorted one) makes a table
+  hit return exactly what a fresh search would: the same prediction
+  to the last bit, and the same ``config.chosen`` trace record;
 * **vectorization** — a miss builds one ``(K, N)`` Eq. 1 stack-cost
   matrix plus an ``(n_configs, K)`` composition matrix and reduces them
   in bulk with numpy.
@@ -124,6 +136,29 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return array
 
 
+@dataclass(frozen=True)
+class _Decided:
+    """A fresh search's outcome for the process-wide decision table.
+
+    ``decision`` is positional in squad insertion order; ``profiles``
+    pins the profiles whose ids the table key holds; ``candidates``,
+    ``nsp_us`` and ``sp_us`` are the ``config.chosen`` fields of a
+    cache-miss decision.
+    """
+
+    profiles: Tuple[AppProfile, ...]
+    decision: CachedDecision
+    candidates: int
+    nsp_us: float
+    sp_us: Optional[float]
+
+
+# Process-wide decision table behind every determiner's per-run LRU
+# (module docstring); swept wholesale when it fills.
+_DECISIONS_SIZE = 4096
+_DECISIONS: Dict[tuple, _Decided] = {}
+
+
 class ExecutionConfigDeterminer:
     """Searches the configuration space with the two estimators,
     memoizing decisions in an LRU of ``config.config_cache_size``."""
@@ -168,6 +203,9 @@ class ExecutionConfigDeterminer:
         returns the argmin as an :class:`ExecutionConfig`.  Decisions
         are memoized by :meth:`KernelSquad.signature`; a cache hit
         skips the search entirely (§6.9's decision-latency budget).
+        A cache miss first looks in the process-wide decision table
+        and searches only if that misses too; either way it counts and
+        traces as a miss, exactly as a fresh search would.
         """
         if not squad.app_ids:
             raise ValueError("cannot configure an empty squad")
@@ -184,7 +222,35 @@ class ExecutionConfigDeterminer:
                     is_spatial=chosen.is_spatial,
                 )
             return chosen
-        chosen = self._determine_uncached(squad, profiles)
+        app_ids = squad.app_ids
+        config = self.config
+        table_key = (
+            tuple(
+                (id(profiles[app_id]), tuple(entry.kernel_indices))
+                for app_id, entry in squad.entries.items()
+            ),
+            config.num_partitions,
+            config.nsp_predictor,
+            config.semi_sp_mode,
+            config.max_enumerated_configs,
+        )
+        decided = _DECISIONS.get(table_key)
+        if decided is None:
+            chosen, candidates, nsp_us, sp_us = self._search(squad, profiles)
+            if len(_DECISIONS) >= _DECISIONS_SIZE:
+                _DECISIONS.clear()
+            _DECISIONS[table_key] = _Decided(
+                profiles=tuple(profiles[app_id] for app_id in app_ids),
+                decision=CachedDecision.from_config(chosen, app_ids),
+                candidates=candidates,
+                nsp_us=nsp_us,
+                sp_us=sp_us,
+            )
+        else:
+            chosen = decided.decision.rebuild(app_ids)
+            candidates = decided.candidates
+            nsp_us, sp_us = decided.nsp_us, decided.sp_us
+        self._emit_chosen(chosen, len(app_ids), candidates, nsp_us, sp_us)
         self.cache.put(key, CachedDecision.from_config(chosen, canonical_order))
         return chosen
 
@@ -193,14 +259,24 @@ class ExecutionConfigDeterminer:
         squad: KernelSquad,
         profiles: Mapping[str, AppProfile],
     ) -> ExecutionConfig:
+        """Search without consulting the LRU or the decision table."""
+        chosen, candidates, nsp_us, sp_us = self._search(squad, profiles)
+        self._emit_chosen(chosen, len(squad.app_ids), candidates, nsp_us, sp_us)
+        return chosen
+
+    def _search(
+        self,
+        squad: KernelSquad,
+        profiles: Mapping[str, AppProfile],
+    ) -> Tuple[ExecutionConfig, int, float, Optional[float]]:
+        """``(chosen, candidates, nsp_us, sp_us)`` of a full search."""
         app_ids = squad.app_ids
 
         # A single active request simply gets the whole GPU.
         if len(app_ids) == 1:
             duration = self._nsp_estimate(squad, profiles)
             chosen = ExecutionConfig(partitions=None, predicted_duration_us=duration)
-            self._emit_chosen(chosen, apps=1, candidates=1, nsp_us=duration)
-            return chosen
+            return chosen, 1, duration, None
 
         nsp_duration = self._nsp_estimate(squad, profiles)
         best_sp = self._best_spatial(squad, profiles)
@@ -211,14 +287,12 @@ class ExecutionConfigDeterminer:
             chosen = ExecutionConfig(
                 partitions=None, predicted_duration_us=nsp_duration
             )
-        self._emit_chosen(
+        return (
             chosen,
-            apps=len(app_ids),
-            candidates=1 + self._spatial_space_size(len(app_ids)),
-            nsp_us=nsp_duration,
-            sp_us=best_sp.predicted_duration_us if best_sp is not None else None,
+            1 + self._spatial_space_size(len(app_ids)),
+            nsp_duration,
+            best_sp.predicted_duration_us if best_sp is not None else None,
         )
-        return chosen
 
     def _spatial_space_size(self, k: int) -> int:
         """Size of the strict-spatial space searched for ``k`` requests."""

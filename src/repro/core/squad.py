@@ -73,12 +73,14 @@ class KernelSquad:
 
         Returns ``(key, app_ids)`` where ``key`` hashes everything the
         determiner's decision depends on — per app: the profiled model,
-        its calibration ``version``, its provisioned quota, and its
+        its calibration ``version``, its provisioned quota, its
         kernel-index window (which, given the profile, fixes the
         per-kernel duration vector exactly — a collision-free refinement
-        of duration bucketing); globally: ``K``, ``N`` and the search
-        knobs.  ``app_ids`` is the canonical (sorted-term) app order the
-        positional cached decision is aligned with.
+        of duration bucketing) and the profile's content ``digest``
+        (so a same-named app with another trace, such as its CUDA-graph
+        variant, gets its own key); globally: ``K``, ``N`` and the
+        search knobs.  ``app_ids`` is the canonical (sorted-term) app
+        order the positional cached decision is aligned with.
 
         The per-app terms are sorted, so the key is independent of both
         squad insertion order and client identity: two clients serving
@@ -95,6 +97,7 @@ class KernelSquad:
                         profile.version,
                         entry.request.app.quota,
                         tuple(entry.kernel_indices),
+                        profile.digest,
                     ),
                     app_id,
                 )

@@ -562,6 +562,62 @@ class TestBenchIngest:
                 run.run_id
             )
 
+    def test_e2e_entry_ingests(self, tmp_path):
+        """``bench_trajectory.py --e2e`` folds the driver's untraced and
+        traced JSONs into one record per workload, which the catalog
+        ingests like any other benchmark."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_trajectory", REPO_ROOT / "tools" / "bench_trajectory.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        def driver_json(metrics):
+            return {
+                "seed": 0,
+                "workloads": {
+                    "cluster_churn": {
+                        "correct": True,
+                        "sim_digest": "1ad8dc6e0c86",
+                        "metrics": {
+                            name: {"value": value, "unit": "x"}
+                            for name, value in metrics.items()
+                        },
+                    }
+                },
+            }
+
+        untraced = driver_json({"host_req_per_s": 210.0, "setup_s": 0.3})
+        traced = driver_json(
+            {
+                "core.profiler.self_share": 0.01,
+                "core.profiler.calls": 3397.0,
+                "core.profiler.us_per_call": 12.0,
+                "gpusim.engine.us_per_event": 11.5,
+            }
+        )
+        entry = module.distil_e2e(untraced, traced)
+        (bench,) = entry["benchmarks"]
+        assert bench["name"] == "e2e_cluster_churn"
+        assert bench["extra_info"] == {
+            "correct": True,
+            "sim_digest": "1ad8dc6e0c86",
+            "host_req_per_s": 210.0,
+            "core.profiler.self_share": 0.01,
+            "core.profiler.us_per_call": 12.0,
+        }
+        with ResultsCatalog(tmp_path / "cat.sqlite") as catalog:
+            assert ingest_bench_entry(entry, catalog=catalog) == 1
+            (run,) = catalog.runs(experiment="bench")
+            assert run.system == "e2e_cluster_churn"
+            assert catalog.metrics(run.run_id) == {
+                "host_req_per_s": 210.0,
+                "core.profiler.self_share": 0.01,
+                "core.profiler.us_per_call": 12.0,
+            }
+
     def test_committed_snapshot_ingests(self, tmp_path):
         """The repo's committed BENCH_*.json baselines must stay loadable."""
         snapshots = sorted(REPO_ROOT.glob("BENCH_*.json"))

@@ -611,6 +611,15 @@ class TestInterferenceEstimator:
         after = est.profile_signature(app_r50)
         assert before != after  # version bump -> new cache key
 
+    def test_same_name_other_trace_not_shared(self):
+        from repro.core.graphs import with_cuda_graphs
+
+        est = self.make()
+        plain = inference_app("R50")
+        graphed = with_cuda_graphs(inference_app("R50"))
+        assert est.profile_signature(plain) != est.profile_signature(graphed)
+        assert est.solo_us(plain) != est.solo_us(graphed)
+
 
 class TestPlacementCostModel:
     def make(self):

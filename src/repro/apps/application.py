@@ -97,13 +97,18 @@ class Application:
 _request_counter = itertools.count()
 
 
+def new_request_id() -> int:
+    """The next id from the process-wide request counter."""
+    return next(_request_counter)
+
+
 @dataclass
 class Request:
     """One runtime invocation of an application."""
 
     app: Application
     arrival_time: float
-    request_id: int = field(default_factory=lambda: next(_request_counter))
+    request_id: int = field(default_factory=new_request_id)
     start_time: Optional[float] = None
     finish_time: Optional[float] = None
     # Index of the next kernel (in app.kernels) not yet scheduled.

@@ -29,7 +29,12 @@ from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
 from ..obs import DecisionTracer, resolve_tracing
-from ..obs.events import CLUSTER_COST, CLUSTER_INTERFERENCE, CLUSTER_PLACE
+from ..obs.events import (
+    CLUSTER_COST,
+    CLUSTER_INTERFERENCE,
+    CLUSTER_PLACE,
+    TraceEvent,
+)
 from ..parallel import (
     ServeCell,
     cells_are_picklable,
@@ -72,11 +77,10 @@ def serve_gpus(
     system_factory: SystemFactory,
     system_kwargs: Optional[dict] = None,
     jobs: Optional[int] = None,
-    tracer: Optional[DecisionTracer] = None,
-    offset_us: float = 0.0,
+    trace: bool = False,
     experiment: str = "cluster",
     backend: Optional[str] = None,
-) -> Dict[int, ServingResult]:
+) -> Tuple[Dict[int, ServingResult], Dict[int, List[TraceEvent]]]:
     """Serve each GPU's bindings on a private system instance.
 
     ``gpu_bindings`` is ``[(gpu_index, bindings), ...]``; each entry
@@ -86,21 +90,23 @@ def serve_gpus(
     Bindings that cannot pickle (a test handed us closures) run
     serially instead of failing one round-trip per GPU.
 
-    Tracing forces the in-process path: per-GPU tracer records never
-    cross the pickle boundary (``ServingResult`` does not carry them),
-    and they must be absorbed onto the cluster clock here anyway.
+    Returns ``(results, records)`` keyed by GPU index.  ``records`` is
+    empty unless ``trace=True``, which forces the in-process path:
+    per-GPU tracer records never cross the pickle boundary
+    (``ServingResult`` does not carry them).  Each GPU's records stay
+    on its local clock (t=0 = start of its serve); the caller absorbs
+    them onto the cluster clock with :meth:`DecisionTracer.absorb`.
     """
     kwargs = dict(system_kwargs or {})
     per_gpu: Dict[int, ServingResult] = {}
-    if tracer is not None:
+    records: Dict[int, List[TraceEvent]] = {}
+    if trace:
         for gpu_index, bindings in gpu_bindings:
             system = system_factory(**{**kwargs, "trace": True})
             per_gpu[gpu_index] = system.serve(list(bindings))
             if system.obs.tracer is not None:
-                tracer.absorb(
-                    system.obs.tracer.records, gpu_index, offset_us=offset_us
-                )
-        return per_gpu
+                records[gpu_index] = system.obs.tracer.records
+        return per_gpu, records
     cells = [
         ServeCell(
             key=gpu_index,
@@ -117,7 +123,7 @@ def serve_gpus(
     results = run_cells(cells, jobs=jobs, experiment=experiment, backend=backend)
     for (gpu_index, _), result in zip(gpu_bindings, results):
         per_gpu[gpu_index] = result
-    return per_gpu
+    return per_gpu, records
 
 
 @dataclass
@@ -148,13 +154,15 @@ class ClusterController:
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.system_kwargs = dict(system_kwargs or {})
-        self.placer = ClusterPlacer(
+        self._new_placer = partial(
+            ClusterPlacer,
             num_gpus,
             self.gpu_spec,
             policy,
             slo=self.system_kwargs.get("slo"),
             exact=exact_placement,
         )
+        self.placer = self._new_placer()
         self.system_factory = system_factory
         self.tracing = resolve_tracing(trace)
         self.tracer: Optional[DecisionTracer] = (
@@ -185,6 +193,8 @@ class ClusterController:
         if len(by_app) != len(bindings):
             raise ValueError("duplicate app_ids in cluster workload")
 
+        # Each serve places onto empty GPUs, whatever an earlier serve left.
+        self.placer = self._new_placer()
         placements = self.placer.place_all([b.app for b in bindings])
         cost_model = self.placer.cost_model
         placement_cost = self.placer.placement_cost()
@@ -222,14 +232,16 @@ class ClusterController:
             (gpu_index, [by_app[app.app_id] for app in apps])
             for gpu_index, apps in sorted(placements.items())
         ]
-        per_gpu = serve_gpus(
+        per_gpu, records = serve_gpus(
             gpu_bindings,
             self.system_factory,
             self.system_kwargs,
             jobs=jobs,
-            tracer=self.tracer,
+            trace=self.tracer is not None,
             backend=backend,
         )
+        for gpu_index, gpu_records in records.items():
+            self.tracer.absorb(gpu_records, gpu_index)
         # Merge in GPU slot-index order — deterministic regardless of
         # pool completion order.  num_slots counts idle GPUs too: a
         # pool of three GPUs serving one app is one-third utilised,

@@ -20,8 +20,17 @@ Per epoch the orchestrator:
    defragmenting migration, retry once more → shed the application,
    accounting its offered requests so ``completed + shed == arrived``
    holds cluster-wide;
-4. serves every occupied GPU (optionally in parallel via the shared
-   process pool) and merges the epoch's results.
+4. serves each occupied GPU whose ordered tenant list is new in this
+   run (optionally in parallel via the shared process pool) and merges
+   the epoch's results.  GPUs do not interfere (§4.2.2), so a GPU's
+   pass depends only on its system and its ordered tenants — each the
+   deployed ``Application`` plus its arrival-process factory.  A GPU
+   whose list an earlier epoch of the same ``serve`` already ran
+   reuses that epoch's result (and, under tracing, its per-GPU records
+   at the new epoch's offset, with fresh request ids) instead of
+   simulating the same pass again.  A degraded quota is a new
+   ``Application``, so it misses; a migrated tenant list hits on any
+   GPU, since every GPU shares one spec.
 
 Epoch results chain into one :class:`ServingResult` via
 :meth:`ServingResult.merge` with per-epoch cluster-clock offsets, and
@@ -34,9 +43,10 @@ every decision lands on an engine-less
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.application import Application
+from ..apps.application import Application, new_request_id
 from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
@@ -49,6 +59,7 @@ from ..obs.events import (
     CLUSTER_MIGRATE,
     CLUSTER_PLACE,
     CLUSTER_SHED,
+    TraceEvent,
 )
 from ..catalog.ingest import ingest_metrics_safe, result_metrics
 from ..parallel import resolve_backend
@@ -62,7 +73,7 @@ from .placement import ClusterPlacer, PlacementPolicy
 #: analogue of the robustness layer's degraded relaunches).
 DEFAULT_DEGRADE_FACTORS: Tuple[float, ...] = (0.75, 0.5)
 
-#: Below this many occupied GPUs in an epoch, the serve fans out
+#: Below this many GPUs to serve in an epoch, the serve fans out
 #: in-process instead of over the pool: ProcessPoolExecutor submit +
 #: pickle + result round-trips cost more than the epochs themselves
 #: for squads this small (results are byte-identical either way).
@@ -143,6 +154,55 @@ class OnlineClusterResult:
         return self.merged.mean_of_app_means() / 1000.0
 
 
+#: A GPU's workload within one serve: ``(id(app), id(process_factory))``
+#: per tenant, in slot order.
+WorkloadKey = Tuple[Tuple[int, int], ...]
+
+
+@dataclass
+class _ServedGPU:
+    """One simulated GPU pass, kept for reuse by later epochs.
+
+    ``bindings`` pins the objects whose ids form the key, so no id can
+    be reused while the entry lives.
+    """
+
+    bindings: List[WorkloadBinding]
+    result: ServingResult
+    records: List[TraceEvent]
+
+
+def _workload_key(bindings: Sequence[WorkloadBinding]) -> WorkloadKey:
+    return tuple((id(b.app), id(b.process_factory)) for b in bindings)
+
+
+def _renumbered(records: Sequence[TraceEvent]) -> List[TraceEvent]:
+    """``records`` with every request id replaced by a new one.
+
+    A reused pass enters the trace as new requests: the trace analyzer
+    keys requests on ``(app_id, request_id)``, so repeating the first
+    pass's ids would fold two epochs' requests into one.
+    """
+    new_ids: Dict[int, int] = {}
+    out: List[TraceEvent] = []
+    for record in records:
+        raw = record.args.get("request_id")
+        if raw is None or raw < 0:
+            out.append(record)
+            continue
+        if raw not in new_ids:
+            new_ids[raw] = new_request_id()
+        out.append(
+            TraceEvent(
+                ts_us=record.ts_us,
+                etype=record.etype,
+                app_id=record.app_id,
+                args={**record.args, "request_id": new_ids[raw]},
+            )
+        )
+    return out
+
+
 def offered_requests(binding: WorkloadBinding) -> int:
     """How many requests a binding would submit in one epoch.
 
@@ -171,12 +231,14 @@ class OnlineClusterController:
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.system_kwargs = dict(system_kwargs or {})
-        self.placer = ClusterPlacer(
+        self._new_placer = partial(
+            ClusterPlacer,
             num_gpus,
             self.gpu_spec,
             policy,
             slo=self.system_kwargs.get("slo"),
         )
+        self.placer = self._new_placer()
         self.system_factory = system_factory
         self.migrate = migrate
         self.degrade_factors = tuple(degrade_factors)
@@ -296,10 +358,12 @@ class OnlineClusterController:
         ``epochs`` defaults to the horizon the schedule implies (every
         app arrives and departs); ``jobs`` fans occupied GPUs over the
         shared process pool each epoch, byte-identical to serial.
-        ``backend=None`` picks per epoch: squads smaller than
-        ``INPROC_GPU_THRESHOLD`` occupied GPUs serve in-process (the
-        pool's submit+pickle tax exceeds such epochs' work), larger
-        ones go to the pool; pass ``"inproc"``/``"pool"`` to force.
+        ``backend=None`` picks per epoch: fewer than
+        ``INPROC_GPU_THRESHOLD`` GPUs to serve (those whose tenant list
+        is new this run) serve in-process (the pool's submit+pickle tax
+        exceeds such epochs' work), more go to the pool; pass
+        ``"inproc"``/``"pool"`` to force.  Every call starts from empty
+        GPUs, new :class:`ClusterStats` and no deployed tenants.
         """
         schedule = list(schedule)
         ids = [arrival.app_id for arrival in schedule]
@@ -321,7 +385,11 @@ class OnlineClusterController:
                 + [1]
             )
 
+        self.placer = self._new_placer()
+        self.stats = ClusterStats()
+        self._factories = {}
         name = f"cluster/{system_name(self.system_factory, self.system_kwargs)}"
+        served: Dict[WorkloadKey, _ServedGPU] = {}
         per_epoch: List[ServingResult] = []
         offsets: List[float] = []
         placements: List[Dict[int, List[str]]] = []
@@ -380,7 +448,8 @@ class OnlineClusterController:
                     estimator_misses=self.placer.cost_model.estimator.misses,
                 )
 
-            # 4. Serve every occupied GPU for one workload pass.
+            # 4. Serve each occupied GPU whose tenant list is new in
+            # this run; the others reuse the pass that first ran it.
             gpu_bindings = [
                 (
                     slot.index,
@@ -402,18 +471,40 @@ class OnlineClusterController:
             )
             if not gpu_bindings:
                 continue
-            epoch_backend = resolve_backend(backend)
-            if epoch_backend == "auto" and len(gpu_bindings) < INPROC_GPU_THRESHOLD:
-                epoch_backend = "inproc"
-            per_gpu = serve_gpus(
-                gpu_bindings,
-                self.system_factory,
-                self.system_kwargs,
-                jobs=jobs,
-                tracer=self.tracer,
-                offset_us=offset,
-                backend=epoch_backend,
-            )
+            keys = {index: _workload_key(bindings) for index, bindings in gpu_bindings}
+            fresh = [
+                (index, bindings)
+                for index, bindings in gpu_bindings
+                if keys[index] not in served
+            ]
+            if fresh:
+                epoch_backend = resolve_backend(backend)
+                if epoch_backend == "auto" and len(fresh) < INPROC_GPU_THRESHOLD:
+                    epoch_backend = "inproc"
+                results, records = serve_gpus(
+                    fresh,
+                    self.system_factory,
+                    self.system_kwargs,
+                    jobs=jobs,
+                    trace=self.tracer is not None,
+                    backend=epoch_backend,
+                )
+                for index, bindings in fresh:
+                    served[keys[index]] = _ServedGPU(
+                        bindings=bindings,
+                        result=results[index],
+                        records=records.get(index, []),
+                    )
+            fresh_gpus = {index for index, _ in fresh}
+            per_gpu: Dict[int, ServingResult] = {}
+            for index, _ in gpu_bindings:
+                entry = served[keys[index]]
+                per_gpu[index] = entry.result
+                if self.tracer is not None:
+                    gpu_records = entry.records
+                    if index not in fresh_gpus:
+                        gpu_records = _renumbered(gpu_records)
+                    self.tracer.absorb(gpu_records, index, offset_us=offset)
             epoch_result = ServingResult.merge(
                 [per_gpu[index] for index, _ in gpu_bindings],
                 system=name,

@@ -5,8 +5,9 @@ per GPU behind a central placement controller — but evaluates a single
 GPU.  This sweep exercises the online orchestrator across cluster
 sizes, placement policies, and load levels: ``gpus`` tenant groups
 (each the Fig. 15 four-model mix) arrive one group per epoch, the
-controller places/degrades/sheds them, and every occupied GPU serves in
-parallel across the process pool (``jobs=`` / ``REPRO_JOBS``).
+controller places/degrades/sheds them, and every occupied GPU with a
+tenant list new in the run serves in parallel across the process pool
+(``jobs=`` / ``REPRO_JOBS``); an unchanged GPU reuses its earlier pass.
 
 Reported per scenario:
 

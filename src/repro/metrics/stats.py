@@ -122,9 +122,13 @@ class FaultStats:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestRecord:
-    """Outcome of one served request."""
+    """Outcome of one served request.
+
+    Frozen: merged results share record objects (the online cluster
+    loop reuses an unchanged GPU's result in several epochs).
+    """
 
     app_id: str
     request_id: int

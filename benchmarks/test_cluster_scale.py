@@ -7,9 +7,13 @@ cluster-wide request books balanced, and scaling the pool from one GPU
 to two spreads the same per-GPU workload without inflating latency.
 
 Also measures the ISSUE-7 in-process serve loop: small squads (below
-``INPROC_GPU_THRESHOLD`` occupied GPUs per epoch) skip the process
+``INPROC_GPU_THRESHOLD`` GPUs to serve per epoch) skip the process
 pool's submit+pickle tax entirely.  The forced-pool and inproc sweeps
-are timed in interleaved pairs and must return identical data.
+are timed in interleaved pairs and must return identical data.  The
+online controller reuses an unchanged GPU's earlier pass, but no epoch
+of this sweep has one (the epoch-1 migration changes GPU 0's tenants),
+so the pool leg still sends its two-GPU epoch through the pool; a
+one-GPU grid runs in-process under either backend.
 """
 
 import os

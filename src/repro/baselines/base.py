@@ -23,7 +23,7 @@ from ..gpusim.faults import FaultInjector, FaultPlan, resolve_fault_plan
 from ..gpusim.kernel import KernelInstance
 from ..gpusim.stream import DeviceQueue
 from ..gateway.gateway import ServingGateway
-from ..gateway.slo import SLOSpec
+from ..gateway.slo import SLO_CLASSES, SLOSpec
 from ..metrics.stats import FaultStats, RequestRecord, ServingResult
 from ..obs import Observability
 from ..obs import events as obs_events
@@ -260,7 +260,30 @@ class SharingSystem(abc.ABC):
             reg.import_mapping("fault_", stats.as_dict())
             reg.set("fault_requests_arrived", self._requests_arrived)
         self._result.extras = reg.scalars()
+        if self.validate:
+            self._check_books()
         return self._result
+
+    def _check_books(self) -> None:
+        """``validate=True``: at the end of a serve, every arrived
+        request either completed or was shed, at the gateway or by the
+        fault path."""
+        completed = len(self._result.records)
+        gate_shed = 0
+        if self._gateway is not None:
+            counters = self._gateway.counters
+            gate_shed = int(
+                sum(counters[f"shed_admission_{cls}"] for cls in SLO_CLASSES)
+            )
+        fault_shed = 0
+        if self.fault_injector is not None:
+            fault_shed = self.fault_stats.shed_requests
+        arrived = self._requests_arrived
+        if completed + gate_shed + fault_shed != arrived:
+            raise AssertionError(
+                f"{self.name}: {completed} completed + {gate_shed} shed at the "
+                f"gateway + {fault_shed} shed by faults != {arrived} arrived"
+            )
 
     # ------------------------------------------------------------------
     # Arrival / completion machinery

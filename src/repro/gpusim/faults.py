@@ -58,12 +58,16 @@ def _mix(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+_HASH_START = 0x2545F4914F6CDD1D
+_TWO_64 = float(1 << 64)
+
+
 def _hash_u01(*parts: int) -> float:
     """Deterministic uniform in [0, 1) from a tuple of integers."""
-    h = 0x2545F4914F6CDD1D
+    h = _HASH_START
     for part in parts:
         h = _mix(h ^ (part & _MASK64))
-    return h / float(1 << 64)
+    return h / _TWO_64
 
 
 def _app_token(app_id: str) -> int:
@@ -250,17 +254,41 @@ class FaultInjector:
         self._identity: Dict[int, Tuple[int, int, int]] = {}
         self._occurrences: Dict[Tuple[int, int], int] = {}
         self._drift_cache: Dict[Tuple[int, int], float] = {}
+        self._app_tokens: Dict[str, int] = {}
+        # (domain, app_token, seq) -> the splitmix state after hashing
+        # (seed, domain, app_token, seq): a roll only mixes in the
+        # occurrence and the attempt.
+        self._slot_states: Dict[Tuple[int, int, int], int] = {}
 
     # ------------------------------------------------------------------
     def _identity_of(self, kernel: KernelInstance) -> Tuple[int, int, int]:
         identity = self._identity.get(kernel.uid)
         if identity is None:
-            slot = (_app_token(kernel.app_id), kernel.seq)
+            app_id = kernel.app_id
+            token = self._app_tokens.get(app_id)
+            if token is None:
+                token = self._app_tokens[app_id] = _app_token(app_id)
+            slot = (token, kernel.seq)
             occurrence = self._occurrences.get(slot, 0)
             self._occurrences[slot] = occurrence + 1
-            identity = (slot[0], slot[1], occurrence)
+            identity = (token, kernel.seq, occurrence)
             self._identity[kernel.uid] = identity
         return identity
+
+    def _roll(
+        self, domain: int, app: int, seq: int, occurrence: int, attempt: int
+    ) -> float:
+        """``_hash_u01(seed, domain, app, seq, occurrence, attempt)``,
+        resuming from the memoised state of the ``(app, seq)`` slot."""
+        key = (domain, app, seq)
+        h = self._slot_states.get(key)
+        if h is None:
+            h = _HASH_START
+            for part in (self._seed, domain, app, seq):
+                h = _mix(h ^ (part & _MASK64))
+            self._slot_states[key] = h
+        h = _mix(h ^ (occurrence & _MASK64))
+        return _mix(h ^ (attempt & _MASK64)) / _TWO_64
 
     # ------------------------------------------------------------------
     def work_multiplier(self, kernel: KernelInstance) -> float:
@@ -278,9 +306,7 @@ class FaultInjector:
                 self._drift_cache[slot] = drift
             multiplier *= drift
         if plan.slowdown_rate > 0.0:
-            roll = _hash_u01(
-                self._seed, _DOMAIN_SPIKE, app, seq, occurrence, kernel.attempts
-            )
+            roll = self._roll(_DOMAIN_SPIKE, app, seq, occurrence, kernel.attempts)
             if roll < plan.slowdown_rate:
                 multiplier *= plan.slowdown_factor
                 if self.stats is not None:
@@ -293,9 +319,7 @@ class FaultInjector:
         if plan.kernel_failure_rate <= 0.0:
             return False
         app, seq, occurrence = self._identity_of(kernel)
-        roll = _hash_u01(
-            self._seed, _DOMAIN_FAIL, app, seq, occurrence, kernel.attempts
-        )
+        roll = self._roll(_DOMAIN_FAIL, app, seq, occurrence, kernel.attempts)
         return roll < plan.kernel_failure_rate
 
     @property

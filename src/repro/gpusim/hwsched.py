@@ -25,7 +25,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .context import GPUContext
 from .kernel import KernelInstance
 from .stream import DeviceQueue
 
@@ -126,19 +125,22 @@ class HardwareScheduler:
 
     def allocate_fair_indexed(
         self,
-        running: Sequence[KernelInstance],
-        contexts: Sequence[GPUContext],
+        rows: Sequence[tuple],
+        context_ids: Sequence[int],
     ) -> List[Tuple[int, float]]:
         """Fair allocation as ``(running_index, grant)`` pairs.
 
         Object-free variant of :meth:`allocate` for the engine's rate
-        kernel, which calls it for running sets with a shared context or
-        more than one priority level (it water-fills the one-kernel-per-
-        context, one-level shape inline).  ``contexts[i]`` is the
-        context of ``running[i]``, and the returned pairs follow the
-        identical allocation order (priority level descending, then
-        context first-appearance order, then running order within a
-        context) with bit-identical arithmetic to ``_allocate_fair``.
+        kernel, which calls it for running sets with a shared context (it
+        water-fills the one-kernel-per-context shapes inline, at any
+        number of priority levels).  Kernel ``i`` is described by
+        the engine's rate row ``rows[i]``, of which this reads the
+        context priority (``[0]``), the SM demand (``[6]``) and the
+        context limit (``[7]``), and runs in context ``context_ids[i]``.
+        The returned pairs follow the identical allocation order
+        (priority level descending, then context first-appearance order,
+        then running order within a context) with bit-identical
+        arithmetic to ``_allocate_fair``.
         """
         # Group kernels by context in first-appearance order; note on
         # the way whether a second priority level exists (rare).
@@ -147,13 +149,13 @@ class HardwareScheduler:
         priorities: Dict[int, int] = {}
         single_level = True
         first_priority: int = 0
-        for index, ctx in enumerate(contexts):
-            cid = ctx.context_id
+        for index, cid in enumerate(context_ids):
             group = by_context.get(cid)
             if group is None:
+                row = rows[index]
                 by_context[cid] = [index]
-                limits[cid] = ctx.sm_limit
-                priority = ctx.priority
+                limits[cid] = row[7]
+                priority = row[0]
                 priorities[cid] = priority
                 if len(priorities) == 1:
                     first_priority = priority
@@ -179,9 +181,7 @@ class HardwareScheduler:
             context_want: Dict[int, float] = {}
             for cid in level_cids:
                 indices = by_context[cid]
-                fills = waterfill(
-                    [running[i].spec.sm_demand for i in indices], limits[cid]
-                )
+                fills = waterfill([rows[i][6] for i in indices], limits[cid])
                 total = 0.0
                 for index, fill in zip(indices, fills):
                     per_kernel_want[index] = fill

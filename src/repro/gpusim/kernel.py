@@ -14,7 +14,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .stream import DeviceQueue
 
 
 class KernelKind(enum.Enum):
@@ -173,6 +176,12 @@ class KernelInstance:
     # (either exhausted retries or killed with its context/request).
     attempts: int = 0
     failed: bool = False
+    # Engine bookkeeping: the device queue the kernel was pushed to, and
+    # the launch's per-kernel completion callback until it is consumed.
+    queue: Optional[DeviceQueue] = field(default=None, init=False, repr=False)
+    on_finish: Optional[Callable[[KernelInstance], None]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.remaining_work = self.spec.base_duration_us

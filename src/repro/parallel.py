@@ -240,11 +240,11 @@ def run_cells(
     dominate — while ``"pool"``/``"auto"`` follow the jobs rule.
 
     A failing cell raises :class:`CellExecutionError` naming its grid
-    coordinates.  Before giving up, the failed cell is re-run serially
-    in this process: a worker-environment casualty (pool torn down,
-    import skew, resource limits) recovers transparently, while a
-    genuine simulation bug fails the same way with a local, complete
-    traceback.
+    coordinates, after its one execution: a cell that raised inside a
+    live worker is not run again (a livelocked cell would pay its event
+    budget twice).  Only when the pool itself breaks (a worker killed,
+    out of memory) are the cells it lost re-run serially in this
+    process.
 
     Every completed grid is recorded into the sqlite results catalog
     (``REPRO_CATALOG``; default ``results/catalog.sqlite``, ``off``
@@ -288,12 +288,10 @@ def run_cells(
                     # losing the whole grid.
                     broken = True
                     outcomes.append(_execute_serial(cell))
-                except Exception:
-                    # Only this cell failed in the worker — retry it
-                    # here so transient worker trouble doesn't kill the
-                    # run; a real bug re-raises as CellExecutionError
-                    # with full context.
-                    outcomes.append(_execute_serial(cell))
+                except Exception as exc:
+                    # The cell itself raised in a live worker: running
+                    # it again would fail the same way, at the same cost.
+                    raise CellExecutionError(cell, exc) from exc
             if broken:
                 _reset_pool()
     results = [result for result, _ in outcomes]

@@ -126,7 +126,7 @@ class OracleEngine(SimEngine):
         for kernel in finished:
             # A fault handler earlier in this sweep may have removed it.
             if self._remove_from_running(kernel):
-                self._complete_kernel(self._queue_of[kernel.uid], kernel)
+                self._complete_kernel(kernel.queue, kernel)
         self._drain_epoch_hooks()
         self._dispatch()
         self._rebalance()

@@ -565,7 +565,9 @@ class TestBenchIngest:
     def test_e2e_entry_ingests(self, tmp_path):
         """``bench_trajectory.py --e2e`` folds the driver's untraced and
         traced JSONs into one record per workload, which the catalog
-        ingests like any other benchmark."""
+        ingests like any other benchmark.  The record keeps each layer's
+        share and cost per call and the layer counters an engine claim
+        rests on, but not the call counts."""
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
@@ -590,33 +592,43 @@ class TestBenchIngest:
             }
 
         untraced = driver_json({"host_req_per_s": 210.0, "setup_s": 0.3})
+        counters = {
+            "gpusim.engine.events": 313246.0,
+            "gpusim.engine.us_per_event": 11.5,
+            "gpusim.engine.rebalance_cache_hit_rate": 0.3209,
+            "gateway.shed_frac": 0.0,
+        }
         traced = driver_json(
             {
                 "core.profiler.self_share": 0.01,
                 "core.profiler.calls": 3397.0,
                 "core.profiler.us_per_call": 12.0,
-                "gpusim.engine.us_per_event": 11.5,
+                **counters,
             }
         )
         entry = module.distil_e2e(untraced, traced)
         (bench,) = entry["benchmarks"]
         assert bench["name"] == "e2e_cluster_churn"
-        assert bench["extra_info"] == {
-            "correct": True,
-            "sim_digest": "1ad8dc6e0c86",
+        kept = {
             "host_req_per_s": 210.0,
             "core.profiler.self_share": 0.01,
             "core.profiler.us_per_call": 12.0,
+            **counters,
         }
+        assert bench["extra_info"] == {
+            "correct": True,
+            "sim_digest": "1ad8dc6e0c86",
+            **kept,
+        }
+        # Every counter BENCHMARK.json declares is kept, no call count.
+        declared = module.e2e_layer_counters()
+        assert set(counters) <= set(declared)
+        assert not any(name.endswith((".calls", ".self_share")) for name in declared)
         with ResultsCatalog(tmp_path / "cat.sqlite") as catalog:
             assert ingest_bench_entry(entry, catalog=catalog) == 1
             (run,) = catalog.runs(experiment="bench")
             assert run.system == "e2e_cluster_churn"
-            assert catalog.metrics(run.run_id) == {
-                "host_req_per_s": 210.0,
-                "core.profiler.self_share": 0.01,
-                "core.profiler.us_per_call": 12.0,
-            }
+            assert catalog.metrics(run.run_id) == kept
 
     def test_committed_snapshot_ingests(self, tmp_path):
         """The repo's committed BENCH_*.json baselines must stay loadable."""

@@ -10,11 +10,14 @@ shipped path.
 """
 
 import itertools
+import json
 import math
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.apps.application as appmod
 import repro.gpusim.engine as engine_mod
@@ -29,7 +32,9 @@ from repro.gpusim.engine import SimEngine
 from repro.gpusim.faults import FaultInjector, FaultPlan
 from repro.gpusim.hwsched import SATISFIED_EPS
 from repro.gpusim.kernel import KernelInstance, KernelSpec
-from repro.workloads.suite import bind_load, multi_app_mix
+from repro.metrics.stats import ServingResult
+from repro.scenarios import components
+from repro.workloads.suite import bind_load, multi_app_mix, symmetric_pair
 
 from .engine_oracle import OracleEngine
 
@@ -296,6 +301,33 @@ class TestBatchedGapWakes:
         assert engine._gap_min_time == pytest.approx(50.0)
 
 
+    @pytest.mark.parametrize("engine_cls", [SimEngine, OracleEngine])
+    def test_wake_dispatches_queues_left_dirty(self, engine_cls):
+        # Withdrawing a pending kernel marks its queue dirty without a
+        # dispatch pass; the next gap wake of another queue must take the
+        # full pass and start the newly ready head there, at t=15, not
+        # at that queue's own stale wake (t=31).
+        engine, registry = make_engine(engine_cls)
+        queue_a = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
+        queue_b = engine.create_queue(registry.create("b", 1.0, charge_memory=False))
+        a1 = KernelInstance(compute("a1", dur=10.0, demand=0.3), app_id="a")
+        a2 = KernelInstance(compute("a2", dur=10.0, demand=0.3, gap=5.0), app_id="a")
+        b1 = KernelInstance(compute("b1", dur=1.0, demand=0.3), app_id="b", request_id=1)
+        b2 = KernelInstance(
+            compute("b2", dur=1.0, demand=0.3, gap=30.0), app_id="b", request_id=1
+        )
+        b3 = KernelInstance(
+            compute("b3", dur=1.0, demand=0.3, gap=2.0), app_id="b", request_id=2
+        )
+        engine.launch_batch([a1, a2], queue_a, launch_overhead=0.0)
+        engine.launch_batch([b1, b2, b3], queue_b, launch_overhead=0.0)
+        engine.schedule(12.0, lambda: engine.preempt_pending("b", 1))
+        engine.run()
+        assert a2.start_time == pytest.approx(15.0)
+        assert b3.start_time == pytest.approx(15.0)
+        assert b2.start_time is None
+
+
 class TestHeapCompaction:
     def test_compaction_sweeps_cancelled_events(self):
         engine, _ = make_engine()
@@ -402,8 +434,8 @@ def kernel_rates(specs, owners, limits, priorities):
     for spec, slot in zip(specs, owners):
         kernel = KernelInstance(spec)
         engine._add_running(kernel, contexts[slot])
-        engine._queue_of[kernel.uid] = SimpleNamespace(context=contexts[slot])
-    return engine._compute_rates(engine._running_rows()), engine._reference_rates()[0]
+        kernel.queue = SimpleNamespace(context=contexts[slot])
+    return engine._compute_rates(engine._running_rows), engine._reference_rates()[0]
 
 
 rate_spec = st.builds(
@@ -451,6 +483,43 @@ def running_sets(draw):
     return specs, owners, limits, priorities
 
 
+@st.composite
+def fit_bound_sets(draw):
+    """One kernel per context, one level, wants (here the demands)
+    summing left to right to exactly 1.0, to just above it, or to
+    within three ulps of the rate kernel's fit bound on either side of
+    it."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    target = draw(st.sampled_from([1.0, 1.0 + 1e-12, engine_mod._FIT_TOTAL]))
+    goal = target
+    if target == engine_mod._FIT_TOTAL:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            goal = math.nextafter(goal, draw(st.sampled_from([0.0, 2.0])))
+    weights = draw(
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n)
+    )
+    scale = sum(weights)
+    demands = [target * w / scale for w in weights[:-1]]
+    head = 0.0
+    for demand in demands:
+        head += demand
+    last = goal - head
+    for _ in range(8):  # nudge the last want until the sum lands on goal
+        total = head + last
+        if total == goal:
+            break
+        last = math.nextafter(last, 2.0 if total < goal else 0.0)
+    assume(head + last == goal and 0.0 < last <= 1.0)
+    demands.append(last)
+    specs = [
+        KernelSpec(name=f"k{i}", base_duration_us=draw(st.floats(1.0, 1000.0)),
+                   sm_demand=demand, mem_intensity=draw(st.floats(0.0, 1.0)),
+                   serial_fraction=draw(st.floats(0.0, 0.9)))
+        for i, demand in enumerate(demands)
+    ]
+    return specs, list(range(n)), [1.0] * n, [0] * n
+
+
 def own_contexts(demands, limit=1.0, mem=0.4):
     specs = [
         KernelSpec(name=f"k{i}", base_duration_us=100.0 + i, sm_demand=d,
@@ -468,6 +537,14 @@ class TestRateKernel:
     @settings(max_examples=300, deadline=None)
     @given(running=running_sets())
     def test_kernel_equals_reference_pipeline(self, running):
+        got, want = kernel_rates(*running)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(running=fit_bound_sets())
+    def test_kernel_equals_reference_at_the_fit_bound(self, running):
+        # Both sides of the bound: granted whole by the fit, or priced
+        # by the water-fill rounds, the rates must match the reference.
         got, want = kernel_rates(*running)
         assert got == want
 
@@ -544,14 +621,13 @@ class TestRatesL2:
 
     def test_cold_and_warm_l2_give_identical_results(self, monkeypatch):
         widest = []
-        running_rows = SimEngine._running_rows
+        compute_rates = SimEngine._compute_rates
 
-        def recording(self):
-            rows = running_rows(self)
+        def recording(self, rows):
             widest.append(len(rows))
-            return rows
+            return compute_rates(self, rows)
 
-        monkeypatch.setattr(SimEngine, "_running_rows", recording)
+        monkeypatch.setattr(SimEngine, "_compute_rates", recording)
         for make_system in (BlessRuntime, GSLICESystem):
             monkeypatch.setattr(engine_mod, "_rates_l2", {})
             cold = self.serve_metrics(make_system())
@@ -633,3 +709,108 @@ class TestValidateOnShippedPath:
         mix_metrics(GSLICESystem())  # unchecked, the wrong rate runs
         with pytest.raises(AssertionError, match="reference pipeline"):
             mix_metrics(GSLICESystem(validate=True))
+
+    def test_fig13_golden_replays_with_every_engine_validated(self, monkeypatch):
+        # Every engine built during the replay, the ISO partitions' and
+        # the profiler's included, checks each rebalance against the
+        # reference pipeline; the golden must come back byte for byte,
+        # with each inline shape of the rate kernel exercised (shared
+        # contexts do not occur here; TestRateKernel draws them).
+        from repro.experiments.fig13_overall import run_inference
+
+        monkeypatch.setattr(engine_mod, "_rates_l2", {})
+        engine_init = SimEngine.__init__
+
+        def validating_init(self, *args, **kwargs):
+            kwargs["validate"] = True
+            engine_init(self, *args, **kwargs)
+
+        shapes = Counter()
+        compute_rates = SimEngine._compute_rates
+
+        def classified(self, rows):
+            shapes[rate_shape(self, rows)] += 1
+            return compute_rates(self, rows)
+
+        checks = []
+        validate_rates = SimEngine._validate_rates
+
+        def counted(self, applied):
+            checks.append(applied)
+            validate_rates(self, applied)
+
+        monkeypatch.setattr(SimEngine, "__init__", validating_init)
+        monkeypatch.setattr(SimEngine, "_compute_rates", classified)
+        monkeypatch.setattr(SimEngine, "_validate_rates", counted)
+        data = run_inference(requests=3, loads=("A",), jobs=1)
+        assert json.dumps(data, sort_keys=True, indent=1) == GOLDEN_FIG13.read_text()
+        assert {"fit", "water-fill", "levels"} <= set(shapes), shapes
+        assert len(checks) > sum(shapes.values())
+
+
+GOLDEN_FIG13 = Path(__file__).parent / "golden" / "fig13_inference_small.json"
+
+
+def rate_shape(engine, rows):
+    """Which path of the rate kernel prices this running set, a context
+    per kernel: the fit (one level, every want granted whole), the
+    water-fill of one level, or of several levels (REEF+); otherwise
+    the scheduler's grouping of shared contexts."""
+    cids = engine._running_cids
+    if len(set(cids)) < len(cids):
+        return "shared"
+    if len({row[0] for row in rows}) > 1:
+        return "levels"
+    wants = [row[2] for row in rows]
+    total = 0.0
+    for want in wants:
+        total += want
+    if total <= engine_mod._FIT_TOTAL or max(wants) <= 1.0 / len(wants) + SATISFIED_EPS:
+        return "fit"
+    return "water-fill"
+
+
+# ----------------------------------------------------------------------
+# validate=True balances the serve's books
+# ----------------------------------------------------------------------
+class TestValidatedBooks:
+    def serve(self, make_system):
+        # An open-loop flash crowd through the SLO gateway with failing
+        # kernels: requests complete, are shed at the gate and are shed
+        # by the fault path.
+        apps = symmetric_pair("R50")
+        bindings = components.bind_flash_crowd(
+            apps, mean_interval_factor=1.5, duration_intervals=6.0,
+            spike_magnitude=8.0, seed=1,
+        )
+        system = make_system(
+            slo=components.slo_alternating(apps, 8.0, preempt=False),
+            fault_plan=FaultPlan(seed=1, kernel_failure_rate=0.02, max_retries=1),
+            validate=True,
+        )
+        return system.serve(bindings)
+
+    @pytest.mark.parametrize("make_system", [GSLICESystem, BlessRuntime])
+    def test_books_balance_with_every_kind_of_shed(self, make_system):
+        extras = self.serve(make_system).extras
+        assert extras["fault_shed_requests"] > 0
+        assert (
+            extras["slo_shed_admission_latency_critical"]
+            + extras["slo_shed_admission_best_effort"]
+        ) > 0
+
+    def test_a_dropped_record_fails_the_check(self, monkeypatch):
+        add = ServingResult.add
+        dropped = []
+
+        def drop_first(self, record):
+            if not dropped:
+                dropped.append(record)
+                return
+            add(self, record)
+
+        monkeypatch.setattr(ServingResult, "add", drop_first)
+        with pytest.raises(AssertionError, match="arrived"):
+            self.serve(GSLICESystem)
+        assert dropped
+

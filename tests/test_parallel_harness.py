@@ -191,6 +191,12 @@ def _worker_only_broken_bindings(parent_pid, apps):
     return bind_load(apps, "A", requests=1)
 
 
+def _logged_worker_only_broken_bindings(log, parent_pid, apps):
+    with open(log, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    return _worker_only_broken_bindings(parent_pid, apps)
+
+
 def _make_cell(key, bindings_factory):
     return ServeCell(
         key=key,
@@ -224,21 +230,24 @@ class TestRunCellsErrors:
             run_cells([good, bad], jobs=2)
         assert excinfo.value.key == "bad"
 
-    def test_worker_only_failure_recovers_serially(self):
-        # The pool worker dies on this cell; the serial fallback in the
-        # parent succeeds, so the grid completes without an exception.
+    def test_worker_failure_raises_after_one_execution(self, tmp_path):
+        # A cell that raises inside a live pool worker is not re-run in
+        # the parent, even when a re-run would succeed there: it raises
+        # CellExecutionError after its one execution.
         apps = self._apps()
+        log = tmp_path / "executions"
         cells = [
             _make_cell("ok", partial(bind_load, apps, "A", 1)),
             _make_cell(
                 "flaky",
-                partial(_worker_only_broken_bindings, os.getpid(), apps),
+                partial(_logged_worker_only_broken_bindings, log, os.getpid(), apps),
             ),
         ]
-        results = run_cells(cells, jobs=2)
-        assert len(results) == 2
-        assert all(r.system == "GSLICE" for r in results)
-        assert results[0].records and results[1].records
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells(cells, jobs=2, backend="pool")
+        assert excinfo.value.key == "flaky"
+        assert "worker environment casualty" in str(excinfo.value)
+        assert len(log.read_text().splitlines()) == 1
 
 
 class TestHostileEnv:

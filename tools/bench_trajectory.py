@@ -16,9 +16,10 @@ Usage:
 ``--e2e`` records the end-to-end benchmark instead (all five workloads
 when none is named): it runs ``benchmarks/e2e/run.py --json`` once
 untraced, for each workload's ``host_req_per_s``, and once
-``--traced``, for each layer's ``self_share`` and ``us_per_call``, and
-appends one ``e2e_<workload>`` record per workload — the per-layer
-receipt a perf claim commits.
+``--traced``, for each layer's ``self_share`` and ``us_per_call`` and
+the layer counters ``BENCHMARK.json`` declares (engine events, µs per
+event, memo hit rates, ...), and appends one ``e2e_<workload>`` record
+per workload — the per-layer receipt a perf claim commits.
 
 Each entry records the git revision it measured, and — unless
 ``REPRO_CATALOG=off`` — is also ingested into the sqlite results
@@ -49,6 +50,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 E2E_DRIVER = REPO_ROOT / "benchmarks" / "e2e" / "run.py"
 #: What an e2e record keeps of each layer in the traced split.
 E2E_LAYER_FIELDS = ("self_share", "us_per_call")
+#: The per-layer metric kinds every layer reports; the other per-layer
+#: metrics of BENCHMARK.json are layer counters.
+_LAYER_KINDS = ("self_share", "calls", "us_per_call")
+
+
+def e2e_layer_counters() -> tuple:
+    """The layer counters an e2e record keeps besides the layer fields:
+    every ``per_layer`` metric of ``BENCHMARK.json`` that is not one of
+    a layer's ``self_share``/``calls``/``us_per_call``, such as
+    ``gpusim.engine.events`` and ``gpusim.engine.us_per_event``."""
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    return tuple(
+        metric["name"]
+        for metric in declared["per_layer"]
+        if metric["name"].rpartition(".")[2] not in _LAYER_KINDS
+    )
 
 
 def bench_env() -> dict:
@@ -122,9 +139,10 @@ def distil_e2e(untraced: dict, traced: dict) -> dict:
 
     Each workload becomes an ``e2e_<workload>`` record whose
     ``extra_info`` holds ``host_req_per_s`` (untraced), every layer's
-    ``self_share`` and ``us_per_call`` (traced), the ``sim_digest`` and
-    whether both runs checked ``correct``.
+    ``self_share`` and ``us_per_call`` and the layer counters (traced),
+    the ``sim_digest`` and whether both runs checked ``correct``.
     """
+    counters = set(e2e_layer_counters())
     entry = entry_header(platform.node(), platform.python_version())
     entry["e2e_seed"] = traced["seed"]
     for name, result in traced["workloads"].items():
@@ -137,7 +155,7 @@ def distil_e2e(untraced: dict, traced: dict) -> dict:
         if "host_req_per_s" in plain["metrics"]:
             extra["host_req_per_s"] = plain["metrics"]["host_req_per_s"]["value"]
         for metric, cell in result["metrics"].items():
-            if metric.rpartition(".")[2] in E2E_LAYER_FIELDS:
+            if metric.rpartition(".")[2] in E2E_LAYER_FIELDS or metric in counters:
                 extra[metric] = cell["value"]
         entry["benchmarks"].append(
             {"name": f"e2e_{name}", "wall_s": {}, "extra_info": extra}

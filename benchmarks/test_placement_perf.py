@@ -1,17 +1,11 @@
-"""Contention-aware placement benchmark (ISSUE 9).
+"""Contention-aware placement benchmark.
 
 Times the churny cluster sweep that showcases the interference-cost
-policy, asserts the PR's acceptance shape — ``contention_aware``
-strictly beats both quota-fit policies on throughput *and* p99 at
-8 GPUs — and measures the two memoization layers that keep the policy
-cheap at scale:
-
-* the :class:`~repro.cluster.interference.InterferenceEstimator`'s
-  joint-duration cache (profile-signature keyed, so a cluster of
-  repeated model mixes re-scores against a handful of entries);
-* the admission cache of :mod:`repro.cluster.placement`, which
-  collapses the historical quadratic ``check_admission`` recomputation
-  during 64-GPU placement to one decision per distinct group multiset.
+policy, asserts its acceptance shape — ``contention_aware`` strictly
+beats both quota-fit policies on throughput *and* p99 at 8 GPUs — and
+times a 256-app ``place_all`` on 64 GPUs, where every feasibility probe
+runs ``check_admission`` on per-app kernel-duration stats computed once
+per app (:func:`repro.core.deployment.compute_duration_stats`).
 """
 
 import time
@@ -51,8 +45,8 @@ def test_placement_contention(benchmark):
     )
 
 
-def test_placement_admission_memoization(benchmark):
-    """64-GPU placement leans on the admission cache, not re-checks."""
+def test_placement_admission_cached_stats(benchmark):
+    """A 256-app, 64-GPU ``place_all`` on the cached-stats admission path."""
 
     def place_cluster():
         placer = ClusterPlacer(
@@ -74,6 +68,6 @@ def test_placement_admission_memoization(benchmark):
     benchmark.extra_info["gpus"] = ADMISSION_GPUS
     benchmark.extra_info["apps_placed"] = placed
     benchmark.extra_info["place_all_seconds"] = round(elapsed, 3)
-    # The memoized admission path keeps 256-app placement interactive;
-    # the pre-cache quadratic recomputation took tens of seconds.
+    # Cached per-app stats keep 256-app placement interactive;
+    # recomputing them on every probe took tens of seconds.
     assert elapsed < 10.0

@@ -1,13 +1,9 @@
-"""Offline analysis: bubble taxonomy and what-if quota planning."""
+"""Offline analysis: the bubble taxonomy of a recorded run."""
 
 from .bubbles import BubbleTaxonomy, analyze_run, compare_taxonomies
-from .whatif import INTERFERENCE_MARGIN, QuotaPlan, WhatIfPlanner
 
 __all__ = [
     "analyze_run",
     "BubbleTaxonomy",
     "compare_taxonomies",
-    "INTERFERENCE_MARGIN",
-    "QuotaPlan",
-    "WhatIfPlanner",
 ]

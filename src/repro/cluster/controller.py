@@ -150,7 +150,6 @@ class ClusterController:
         system_factory: SystemFactory = BlessRuntime,
         system_kwargs: Optional[dict] = None,
         trace: Optional[bool] = None,
-        exact_placement: bool = False,
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.system_kwargs = dict(system_kwargs or {})
@@ -160,7 +159,6 @@ class ClusterController:
             self.gpu_spec,
             policy,
             slo=self.system_kwargs.get("slo"),
-            exact=exact_placement,
         )
         self.placer = self._new_placer()
         self.system_factory = system_factory

@@ -24,9 +24,9 @@ the contention-aware GPU partitioning line of work (PAPERS.md):
   latency-critical tenants dominate the objective), and a full
   assignment as the sum over GPUs;
 * :func:`solve_placement` — deterministic greedy construction plus
-  bounded local-search refinement (move and swap moves), with an
-  optional exact enumeration for small clusters (``N <= 4`` GPUs)
-  behind the ``exact`` flag.
+  bounded local-search refinement (move and swap moves); the test
+  suite checks it against an exhaustive search on small clusters
+  (``tests/placement_oracle.py``).
 
 The solver is pure (it never touches :class:`~.placement.GPUSlot`
 state); :class:`~.placement.ClusterPlacer` drives it when its policy is
@@ -35,7 +35,6 @@ state); :class:`~.placement.ClusterPlacer` drives it when its policy is
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..apps.application import Application, Request
@@ -60,12 +59,6 @@ DEFAULT_CLASS_WEIGHTS: Mapping[str, float] = {
 #: (each move strictly reduces the assignment cost, so termination is
 #: guaranteed anyway; the bound caps worst-case work on big clusters).
 LOCAL_SEARCH_ROUNDS = 4
-
-#: Exact enumeration is attempted only within these bounds — beyond
-#: them the state space (``slots ** apps``) dwarfs what local search
-#: loses, so the solver silently falls back to greedy + refinement.
-EXACT_MAX_SLOTS = 4
-EXACT_MAX_APPS = 8
 
 #: Cost deltas below this are ties: local search only takes strictly
 #: improving moves, and tie-breaks fall through to deterministic keys.
@@ -352,47 +345,11 @@ def _local_search(
     return groups
 
 
-def _exact_search(
-    apps: Sequence[Application],
-    num_slots: int,
-    cost_model: PlacementCostModel,
-    feasible: FeasibilityCheck,
-) -> Optional[List[List[Application]]]:
-    """Enumerate every feasible assignment; return the cheapest.
-
-    Only attempted within ``EXACT_MAX_SLOTS`` / ``EXACT_MAX_APPS`` —
-    the caller falls back to greedy + local search outside the bounds.
-    Enumeration order and the strict ``<`` comparison make the argmin
-    deterministic (first-found among equal-cost assignments wins, and
-    the iteration order is itself deterministic).
-    """
-    if num_slots > EXACT_MAX_SLOTS or len(apps) > EXACT_MAX_APPS:
-        return None
-    best_cost = float("inf")
-    best_groups: Optional[List[List[Application]]] = None
-    for choice in itertools.product(range(num_slots), repeat=len(apps)):
-        groups: List[List[Application]] = [[] for _ in range(num_slots)]
-        ok = True
-        for app, slot in zip(apps, choice):
-            if not feasible(groups[slot], app):
-                ok = False
-                break
-            groups[slot].append(app)
-        if not ok:
-            continue
-        cost = cost_model.assignment_cost(groups)
-        if cost < best_cost - COST_EPS:
-            best_cost = cost
-            best_groups = groups
-    return best_groups
-
-
 def solve_placement(
     apps: Sequence[Application],
     num_slots: int,
     cost_model: PlacementCostModel,
     feasible: FeasibilityCheck,
-    exact: bool = False,
 ) -> Optional[List[List[Application]]]:
     """Assign ``apps`` to ``num_slots`` GPUs minimizing predicted cost.
 
@@ -407,9 +364,7 @@ def solve_placement(
        — so the result is **never worse than the best-fit placer's
        assignment** under this cost model (a property the test suite
        pins);
-    3. refine each with bounded local search and keep the cheaper;
-    4. with ``exact=True`` on a small cluster, replace the answer with
-       the enumerated optimum when enumeration is tractable.
+    3. refine each with bounded local search and keep the cheaper.
 
     Returns one group per slot, or ``None`` when no construction can
     place every app (the caller decides between degrading and
@@ -441,12 +396,6 @@ def solve_placement(
             continue
         groups = _local_search(groups, cost_model, feasible)
         candidates.append((cost_model.assignment_cost(groups), groups))
-    if exact:
-        enumerated = _exact_search(order, num_slots, cost_model, feasible)
-        if enumerated is not None:
-            candidates.append(
-                (cost_model.assignment_cost(enumerated), enumerated)
-            )
     if not candidates:
         return None
     best_cost, best_groups = candidates[0]

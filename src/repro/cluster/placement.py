@@ -18,11 +18,9 @@ that controller's placement decision:
   local-search refinement for batches, and cost-driven migration
   proposals (see ``docs/cluster.md``).
 
-Admission feasibility (:func:`repro.core.deployment.check_admission`)
-is memoized on the co-resident group's **admission signature** — the
-exact per-app fields the check reads — so scoring many candidate slots
-against the same model mix costs one admission check, not one per
-probe (the 64-GPU sweeps were previously quadratic in checks).
+Every feasibility probe runs :func:`repro.core.deployment.check_admission`
+on the candidate group; the check reads each app's kernel-duration
+stats from a per-app cache, so a probe costs a pass over the group.
 """
 
 from __future__ import annotations
@@ -48,50 +46,11 @@ class PlacementError(RuntimeError):
     """No GPU can host the application."""
 
 
-# -- admission memoization ------------------------------------------------
-#
-# ``check_admission`` reads exactly these per-app fields: memory_mb,
-# quota, and the mean/max compute-kernel durations (the §4.2.2
-# starvation rule).  A group's decision is therefore a pure function of
-# the multiset of per-app signatures plus the GPU spec, which is what
-# the cache keys on — byte-identical decisions, pinned by
-# ``tests/test_cluster.py::TestAdmissionMemoization``.
-_ADMISSION_CACHE: Dict[Tuple, bool] = {}
-
-
-def _duration_stats(app: Application) -> Tuple[float, float]:
-    """(mean, max) compute-kernel durations, cached on the instance."""
-    cached = app.__dict__.get("_admission_durations")
-    if cached is None:
-        durations = [k.base_duration_us for k in app.kernels if k.is_compute]
-        if durations:
-            cached = (sum(durations) / len(durations), max(durations))
-        else:
-            cached = (0.0, 0.0)
-        app.__dict__["_admission_durations"] = cached
-    return cached
-
-
-def admission_signature(app: Application) -> Tuple[float, float, float, float]:
-    """Everything ``check_admission`` reads about one application."""
-    mean, longest = _duration_stats(app)
-    return (float(app.memory_mb), float(app.quota), mean, longest)
-
-
 def admission_accepts(
     apps: Sequence[Application], spec: GPUSpec
 ) -> bool:
-    """Memoized ``check_admission(apps, spec).accepted``."""
-    key = (
-        spec.memory_mb,
-        spec.mps_context_mb,
-        tuple(sorted(admission_signature(app) for app in apps)),
-    )
-    cached = _ADMISSION_CACHE.get(key)
-    if cached is None:
-        cached = check_admission(list(apps), gpu_spec=spec).accepted
-        _ADMISSION_CACHE[key] = cached
-    return cached
+    """``check_admission(apps, spec).accepted``."""
+    return check_admission(apps, gpu_spec=spec).accepted
 
 
 def group_feasible(
@@ -144,9 +103,7 @@ class ClusterPlacer:
     ``policy`` selects among quota-fit rules (first/best/worst-fit) and
     the interference-cost objective (``CONTENTION_AWARE``).  The cost
     model is built lazily for the contention policy (pass ``cost_model``
-    to share an estimator or supply SLO class weights); ``exact=True``
-    additionally enables exhaustive batch placement on small clusters
-    (``N <= 4`` GPUs, see :mod:`.interference`).
+    to share an estimator or supply SLO class weights).
     """
 
     def __init__(
@@ -156,13 +113,11 @@ class ClusterPlacer:
         policy: PlacementPolicy = PlacementPolicy.BEST_FIT,
         cost_model: Optional[PlacementCostModel] = None,
         slo=None,
-        exact: bool = False,
     ):
         if num_gpus < 1:
             raise ValueError("need at least one GPU")
         spec = gpu_spec or GPUSpec()
         self.policy = policy
-        self.exact = exact
         self.slots = [GPUSlot(index=i, spec=spec) for i in range(num_gpus)]
         if cost_model is None and policy is PlacementPolicy.CONTENTION_AWARE:
             cost_model = PlacementCostModel(gpu_spec=spec, slo=slo)
@@ -334,9 +289,8 @@ class ClusterPlacer:
         should use a fresh placer).  Under ``CONTENTION_AWARE`` the
         batch is solved as one cost minimization instead
         (:func:`repro.cluster.interference.solve_placement`): greedy
-        construction, local-search refinement, optional exact search
-        (``exact=True``, small clusters) — and nothing is recorded if
-        the solver cannot place every app.
+        construction and local-search refinement — and nothing is
+        recorded if the solver cannot place every app.
         """
         if self.policy is PlacementPolicy.CONTENTION_AWARE:
             return self._place_all_contention(apps)
@@ -367,7 +321,6 @@ class ClusterPlacer:
             len(self.slots),
             self.cost_model,
             self._feasible,
-            exact=self.exact,
         )
         if groups is None:
             total = sum(app.quota for app in apps)

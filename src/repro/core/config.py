@@ -42,11 +42,6 @@ class BlessConfig:
     # Cap on exhaustively enumerated SP configurations; above this the
     # determiner falls back to proportional-split + local search.
     max_enumerated_configs: int = 4096
-    # Capacity of the determiner's decision LRU, keyed by squad
-    # signature (quota mix, kernel windows, K, N): repeat squads cost
-    # one dict lookup instead of a full search.  Invalidated on profile
-    # recalibration.
-    config_cache_size: int = 1024
     # Semi-SP rear selection: "adaptive" sizes each request's
     # unrestricted rear to the kernels predicted to outlive the
     # shortest co-runner stack (Fig. 7(c)'s motivation); "static"
@@ -68,13 +63,6 @@ class BlessConfig:
     # latency-critical requests win squad slots as their deadline
     # approaches.  Off by default — the byte-identical legacy ordering.
     slo_aware: bool = False
-    # Profile-drift watchdog: when a squad's measured duration exceeds
-    # its prediction by this ratio for ``profile_stale_patience``
-    # consecutive squads, the offline profiles are declared stale and
-    # the runtime falls back to the quota-proportional configuration
-    # (the degraded mode that needs no trustworthy estimates).
-    profile_stale_ratio: float = 1.5
-    profile_stale_patience: int = 3
 
     def __post_init__(self) -> None:
         if self.num_partitions < 2:
@@ -89,12 +77,6 @@ class BlessConfig:
             raise ValueError("nsp_predictor must be 'wave' or 'paper'")
         if self.semi_sp_mode not in ("adaptive", "static"):
             raise ValueError("semi_sp_mode must be 'adaptive' or 'static'")
-        if self.config_cache_size < 1:
-            raise ValueError("config_cache_size must be >= 1")
-        if self.profile_stale_ratio <= 1.0:
-            raise ValueError("profile_stale_ratio must exceed 1.0")
-        if self.profile_stale_patience < 1:
-            raise ValueError("profile_stale_patience must be >= 1")
 
     @property
     def scheduling_us_per_kernel(self) -> float:

@@ -153,6 +153,11 @@ class _Decided:
     sp_us: Optional[float]
 
 
+# Capacity of each determiner's decision LRU, keyed by squad signature
+# (quota mix, kernel windows, K, N): repeat squads cost one dict lookup
+# instead of a full search.  Invalidated on profile recalibration.
+CONFIG_CACHE_SIZE = 1024
+
 # Process-wide decision table behind every determiner's per-run LRU
 # (module docstring); swept wholesale when it fills.
 _DECISIONS_SIZE = 4096
@@ -161,11 +166,11 @@ _DECISIONS: Dict[tuple, _Decided] = {}
 
 class ExecutionConfigDeterminer:
     """Searches the configuration space with the two estimators,
-    memoizing decisions in an LRU of ``config.config_cache_size``."""
+    memoizing decisions in an LRU of ``CONFIG_CACHE_SIZE`` entries."""
 
     def __init__(self, config: BlessConfig):
         self.config = config
-        self.cache = ExecutionConfigCache(config.config_cache_size)
+        self.cache = ExecutionConfigCache(CONFIG_CACHE_SIZE)
         # Optional DecisionTracer (obs/), wired by the runtime's setup;
         # ``config.chosen`` events are emitted only when attached.
         self.trace = None

@@ -8,12 +8,18 @@ Before accepting a set of applications onto one GPU, BLESS checks:
   kernels must not be co-located with applications whose kernels are
   extremely long, or the former would starve inside every squad.  BLESS
   targets apps whose average kernel duration is in the ~10–300 µs band.
+
+Placement scores many candidate groups against the same apps, so each
+app's compute-kernel duration stats are computed once and kept on the
+instance, next to the kernel list they were computed from: a copy with
+another trace (a CUDA-graph or rescaled copy under the same name) is
+another instance with another list, and gets its own stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..apps.application import Application
 from ..gpusim.device import GPUSpec
@@ -36,14 +42,19 @@ class AdmissionReport:
     warnings: List[str] = field(default_factory=list)
 
 
-def _mean_compute_duration(app: Application) -> float:
+def compute_duration_stats(app: Application) -> Tuple[float, float]:
+    """(mean, max) base duration of ``app``'s compute kernels (0 if none)."""
+    cached = app.__dict__.get("_compute_duration_stats")
+    if cached is not None and cached[0] is app.kernels:
+        return cached[1]
     durations = [k.base_duration_us for k in app.kernels if k.is_compute]
-    return sum(durations) / len(durations) if durations else 0.0
-
-
-def _max_compute_duration(app: Application) -> float:
-    durations = [k.base_duration_us for k in app.kernels if k.is_compute]
-    return max(durations) if durations else 0.0
+    stats = (
+        (sum(durations) / len(durations), max(durations))
+        if durations
+        else (0.0, 0.0)
+    )
+    app.__dict__["_compute_duration_stats"] = (app.kernels, stats)
+    return stats
 
 
 def check_admission(
@@ -80,19 +91,17 @@ def check_admission(
         )
 
     # Kernel-duration compatibility.
-    for app in apps:
-        mean = _mean_compute_duration(app)
+    stats = [compute_duration_stats(app) for app in apps]
+    for app, (mean, _) in zip(apps, stats):
         if not MEAN_KERNEL_BAND_US[0] <= mean <= MEAN_KERNEL_BAND_US[1]:
             report.warnings.append(
                 f"{app.app_id}: mean kernel duration {mean:.1f}us outside "
                 f"the {MEAN_KERNEL_BAND_US} band BLESS targets"
             )
-    for short in apps:
-        for long in apps:
+    for short, (mean_short, _) in zip(apps, stats):
+        for long, (_, max_long) in zip(apps, stats):
             if short is long:
                 continue
-            mean_short = _mean_compute_duration(short)
-            max_long = _max_compute_duration(long)
             if mean_short > 0 and max_long / mean_short > MAX_DURATION_DISPARITY:
                 report.accepted = False
                 report.errors.append(

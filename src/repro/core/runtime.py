@@ -38,6 +38,14 @@ from .profiler import AppProfile, OfflineProfiler
 from .progress import RequestProgress
 from .squad import generate_squad
 
+# Profile-drift watchdog (fault-injected runs): when a squad's measured
+# duration exceeds its prediction by this ratio for this many
+# consecutive squads, the offline profiles are declared stale and the
+# runtime falls back to the quota-proportional configuration, the
+# degraded mode that needs no trustworthy estimates.
+PROFILE_STALE_RATIO = 1.5
+PROFILE_STALE_PATIENCE = 3
+
 
 class BlessRuntime(SharingSystem):
     """Bubble-less spatial-temporal GPU sharing.
@@ -328,19 +336,19 @@ class BlessRuntime(SharingSystem):
         """Drift watchdog: distrust profiles that keep under-predicting.
 
         Fault injection can perturb kernel durations away from the
-        offline profiles.  After ``profile_stale_patience`` consecutive
-        squads overrunning their prediction by ``profile_stale_ratio``,
+        offline profiles.  After ``PROFILE_STALE_PATIENCE`` consecutive
+        squads overrunning their prediction by ``PROFILE_STALE_RATIO``,
         the determiner is benched in favour of the quota-proportional
         fallback, which does not rely on duration estimates.
         """
         predicted = execution.config.predicted_duration_us
         if predicted <= 0:
             return
-        if execution.duration_us / predicted >= self.config.profile_stale_ratio:
+        if execution.duration_us / predicted >= PROFILE_STALE_RATIO:
             self._stale_streak += 1
         else:
             self._stale_streak = 0
-        if self._stale_streak >= self.config.profile_stale_patience:
+        if self._stale_streak >= PROFILE_STALE_PATIENCE:
             self._profiles_stale = True
             self.fault_stats.profile_stale_events += 1
 

@@ -99,6 +99,10 @@ _COMPACT_MIN_CANCELLED = 64
 
 _NEVER_FINISHED = float("-inf")
 
+# Bound on ``record_timeline`` segments: the timeline keeps the most
+# recent ones in a ring buffer.
+TIMELINE_CAPACITY = 65536
+
 # Bound on the membership-signature -> rates memo.
 _REBALANCE_CACHE_SIZE = 8192
 # Only track hit recency (LRU move-to-end) once the cache could
@@ -168,7 +172,6 @@ class SimEngine:
         record_timeline: bool = False,
         hw_policy: str = "fair",
         validate: bool = False,
-        timeline_capacity: int = 65536,
         fault_injector: Optional["FaultInjector"] = None,
     ):
         self.device = device or GPUDevice()
@@ -178,6 +181,8 @@ class SimEngine:
         # against the reference pipeline and assert the physical
         # invariants (allocation feasibility, rate bounds).
         self.validate = validate
+        # The clock at the last invariant check (validate only).
+        self._checked_now = 0.0
         # Fair grants are a pure function of running-set membership, so
         # they are memoised; FIFO grants also depend on start order.
         self._memo_rates = self.hwsched.policy == "fair"
@@ -253,7 +258,7 @@ class SimEngine:
         self._current_busy_fraction = 0.0
         self.record_timeline = record_timeline
         self.timeline: Union[List[TimelineSegment], Deque[TimelineSegment]] = (
-            deque(maxlen=timeline_capacity) if record_timeline else []
+            deque(maxlen=TIMELINE_CAPACITY) if record_timeline else []
         )
         self._pending_segment: Optional[TimelineSegment] = None
         self._kernels_completed = 0
@@ -1174,8 +1179,14 @@ class SimEngine:
         * the GPU is never oversubscribed (sum of SM shares <= 1);
         * no kernel exceeds its own demand or its context's limit;
         * every execution rate lies in [0, 1] (no free speedups);
-        * remaining work never goes negative.
+        * remaining work never goes negative;
+        * the clock never moves backwards.
         """
+        if self.now < self._checked_now:
+            raise AssertionError(
+                f"clock moved backwards: t={self.now} after t={self._checked_now}"
+            )
+        self._checked_now = self.now
         total = 0.0
         for alloc in allocations:
             kernel = alloc.kernel

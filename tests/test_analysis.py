@@ -1,9 +1,8 @@
-"""Tests for the bubble taxonomy and what-if planner."""
+"""Tests for the bubble taxonomy."""
 
 import pytest
 
-from repro.analysis import BubbleTaxonomy, WhatIfPlanner, analyze_run, compare_taxonomies
-from repro.apps.models import inference_app
+from repro.analysis import BubbleTaxonomy, analyze_run, compare_taxonomies
 from repro.baselines.gslice import GSLICESystem
 from repro.core.runtime import BlessRuntime
 from repro.gpusim.engine import TimelineSegment
@@ -88,55 +87,3 @@ class TestTaxonomy:
             )
             ratios[name] = taxonomy.bubble_ratio
         assert ratios["BLESS"] < ratios["GSLICE"]
-
-
-class TestWhatIfPlanner:
-    @pytest.fixture(scope="class")
-    def planner(self):
-        return WhatIfPlanner()
-
-    def test_iso_surface_monotone(self, planner):
-        surface = planner.iso_surface(inference_app("R50"))
-        values = [surface[p] for p in sorted(surface)]
-        assert values == sorted(values, reverse=True)
-
-    def test_min_quota_for_budget(self, planner):
-        app = inference_app("R50")
-        generous = planner.min_quota_for_budget(app, 100_000.0)
-        tight = planner.min_quota_for_budget(app, 11_000.0)
-        assert generous < tight
-        assert planner.min_quota_for_budget(app, 1_000.0) is None
-
-    def test_feasible_plans_partition_fully(self, planner):
-        apps = [
-            inference_app("R50").with_quota(0.5, app_id="a"),
-            inference_app("VGG").with_quota(0.5, app_id="b"),
-        ]
-        plans = planner.feasible_plans(apps, [20_000.0, 25_000.0])
-        assert plans
-        for plan in plans:
-            assert sum(plan.quotas) == pytest.approx(1.0)
-            for latency, budget in zip(plan.predicted_latency_us, (20_000.0, 25_000.0)):
-                assert latency <= budget
-
-    def test_infeasible_budgets_yield_nothing(self, planner):
-        apps = [
-            inference_app("R50").with_quota(0.5, app_id="a"),
-            inference_app("R50").with_quota(0.5, app_id="b"),
-        ]
-        # Both demanding near-solo latency: cannot both hold it.
-        assert planner.feasible_plans(apps, [9_000.0, 9_000.0]) == []
-
-    def test_cheapest_plan_minimises_peak_quota(self, planner):
-        apps = [
-            inference_app("R50").with_quota(0.5, app_id="a"),
-            inference_app("VGG").with_quota(0.5, app_id="b"),
-        ]
-        plan = planner.cheapest_plan(apps, [25_000.0, 30_000.0])
-        assert plan is not None
-        assert max(plan.quotas) < 1.0
-        assert "ms" in plan.render(["a", "b"])
-
-    def test_misaligned_inputs_rejected(self, planner):
-        with pytest.raises(ValueError):
-            planner.feasible_plans([inference_app("VGG")], [])

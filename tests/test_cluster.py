@@ -738,17 +738,72 @@ class TestContentionPlacement:
         )
         assert contention.placement_cost() <= best_cost + 1e-6
 
-    def test_exact_flag_matches_or_beats_heuristic(self):
-        specs = [("NAS", 0.5), ("R101", 0.5), ("R50", 0.5), ("VGG", 0.5)]
-        heuristic = ClusterPlacer(
-            num_gpus=2, policy=PlacementPolicy.CONTENTION_AWARE
+    @settings(max_examples=25, deadline=None)
+    @given(
+        models=st.lists(
+            st.sampled_from(["R50", "VGG", "BERT", "R101", "NAS"]),
+            min_size=2,
+            max_size=6,
+        ),
+        num_gpus=st.integers(min_value=2, max_value=3),
+    )
+    def test_solver_matches_exhaustive_optimum(self, models, num_gpus):
+        from hypothesis import assume
+
+        from repro.cluster.interference import solve_placement
+
+        from .placement_oracle import exhaustive_placement
+
+        apps = self.apps([(model, 0.5) for model in models])
+        placer = ClusterPlacer(
+            num_gpus=num_gpus, policy=PlacementPolicy.CONTENTION_AWARE
         )
-        heuristic.place_all(self.apps(specs))
-        exact = ClusterPlacer(
-            num_gpus=2, policy=PlacementPolicy.CONTENTION_AWARE, exact=True
+        oracle = exhaustive_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
         )
-        exact.place_all(self.apps(specs))
-        assert exact.placement_cost() <= heuristic.placement_cost() + 1e-6
+        assume(oracle is not None)
+        groups = solve_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
+        )
+        assert groups is not None
+        cost = placer.cost_model.assignment_cost(groups)
+        assert cost == pytest.approx(oracle[0], abs=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        batch=st.lists(
+            st.tuples(
+                st.sampled_from(["R50", "VGG", "BERT", "R101", "NAS"]),
+                st.sampled_from([0.2, 0.25, 0.3, 0.4, 0.5, 0.6]),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        num_gpus=st.integers(min_value=2, max_value=3),
+    )
+    def test_solver_gap_to_exhaustive_optimum_is_bounded(self, batch, num_gpus):
+        # With mixed quotas, local search can stop in a local optimum.
+        # Two targeted hypothesis searches of 3,000 batches each found
+        # worst gaps of 33.3% and 35.7% of the optimum; this pins 36%.
+        from hypothesis import assume
+
+        from repro.cluster.interference import solve_placement
+
+        from .placement_oracle import exhaustive_placement
+
+        apps = self.apps(batch)
+        placer = ClusterPlacer(
+            num_gpus=num_gpus, policy=PlacementPolicy.CONTENTION_AWARE
+        )
+        oracle = exhaustive_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
+        )
+        groups = solve_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
+        )
+        assume(oracle is not None and groups is not None)
+        cost = placer.cost_model.assignment_cost(groups)
+        assert cost <= oracle[0] * 1.36 + 1e-6
 
     def test_infeasible_batch_raises_and_records_nothing(self):
         placer = ClusterPlacer(
@@ -825,7 +880,7 @@ class TestAdmissionMemoization:
         spec = GPUSpec()
         groups = [
             [app("a", 0.5), app("b", 0.5)],
-            [app("a", 0.5), app("b", 0.5)],  # repeat: cache hit path
+            [app("a", 0.5), app("b", 0.5)],  # repeat: cached stats
             [app("c", 0.2, model="NAS"), app("d", 0.8)],
             [app("e", 0.4, memory_mb=40000)],
             [app("f", 0.3), app("g", 0.3), app("h", 0.3)],
@@ -835,29 +890,15 @@ class TestAdmissionMemoization:
                 check_admission(list(group), gpu_spec=spec).accepted
             )
 
-    def test_cache_keyed_on_signature_multiset(self):
-        from repro.cluster.placement import _ADMISSION_CACHE, admission_signature
-
-        spec = GPUSpec()
-        a, b = app("a", 0.5), app("b", 0.5)
-        # Same model + quota -> same signature; order never matters.
-        assert admission_signature(a) == admission_signature(b)
-        from repro.cluster import admission_accepts
-
-        _ADMISSION_CACHE.clear()
-        admission_accepts([a, b], spec)
-        size = len(_ADMISSION_CACHE)
-        admission_accepts([b, a], spec)  # permutation: no new entry
-        assert len(_ADMISSION_CACHE) == size
-
     def test_slot_fits_uses_memoized_path(self):
-        from repro.cluster.placement import _ADMISSION_CACHE
-
-        _ADMISSION_CACHE.clear()
         placer = ClusterPlacer(num_gpus=1)
-        placer.place(app("a", 0.4))
-        assert placer.slots[0].fits(app("b", 0.4))
-        assert len(_ADMISSION_CACHE) >= 1
+        placed, candidate = app("a", 0.4), app("b", 0.4)
+        placer.place(placed)
+        assert placer.slots[0].fits(candidate)
+        # Each app's kernel-duration stats are cached for its own trace.
+        for member in (placed, candidate):
+            kernels, _ = member.__dict__["_compute_duration_stats"]
+            assert kernels is member.kernels
 
 
 class TestContentionEvents:

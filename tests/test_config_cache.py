@@ -234,8 +234,6 @@ class TestLRUBound:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ExecutionConfigCache(capacity=0)
-        with pytest.raises(ValueError):
-            BlessConfig(config_cache_size=0)
 
 
 class TestSignature:

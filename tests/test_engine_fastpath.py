@@ -367,8 +367,9 @@ class TestTimelineRingBuffer:
         engine.run()
         assert list(engine.timeline) == []
 
-    def test_capacity_bounds_recorded_segments(self):
-        engine, registry = make_engine(record_timeline=True, timeline_capacity=8)
+    def test_capacity_bounds_recorded_segments(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "TIMELINE_CAPACITY", 8)
+        engine, registry = make_engine(record_timeline=True)
         queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
         for _ in range(30):
             engine.launch(KernelInstance(compute(dur=5.0, gap=1.0)), queue)
@@ -709,6 +710,33 @@ class TestValidateOnShippedPath:
         mix_metrics(GSLICESystem())  # unchecked, the wrong rate runs
         with pytest.raises(AssertionError, match="reference pipeline"):
             mix_metrics(GSLICESystem(validate=True))
+
+    @staticmethod
+    def planted_backwards_step(validate):
+        """Three kernels; the last is launched by a callback that first
+        steps the clock from t=100 back to t=50, after the short kernel's
+        completion (t=83) rebalanced the long one."""
+        engine, registry = make_engine(validate=validate)
+        queue, other, fresh = (
+            engine.create_queue(registry.create(name, 0.3, charge_memory=False))
+            for name in ("a", "b", "c")
+        )
+        engine.launch(KernelInstance(compute(name="short", dur=80.0, demand=0.3)), queue)
+        engine.launch(KernelInstance(compute(name="long", dur=300.0, demand=0.3)), other)
+
+        def step_back_and_launch():
+            engine.now -= 50.0
+            engine.launch(KernelInstance(compute(name="late", dur=10.0)), fresh)
+
+        engine.schedule(100.0, step_back_and_launch)
+        engine.run()
+        return engine
+
+    def test_validate_catches_a_backwards_clock(self):
+        engine = self.planted_backwards_step(validate=False)  # unchecked, it runs
+        assert engine.kernels_completed == 3
+        with pytest.raises(AssertionError, match="clock moved backwards"):
+            self.planted_backwards_step(validate=True)
 
     def test_fig13_golden_replays_with_every_engine_validated(self, monkeypatch):
         # Every engine built during the replay, the ISO partitions' and

@@ -1,11 +1,10 @@
-"""Second property-based suite: I/O, arrivals, placement, LLM routing."""
+"""Second property-based suite: I/O, arrivals, placement."""
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from repro.cluster.placement import ClusterPlacer, PlacementError, PlacementPolicy
-from repro.dynamic import DynamicLLMApp, LLMSpec
 from repro.metrics.io import result_from_dict, result_to_dict
 from repro.metrics.stats import RequestRecord, ServingResult
 from repro.workloads.arrivals import ClosedLoop, TraceReplay
@@ -115,28 +114,3 @@ class TestPlacementProperties:
         for slot in placer.slots:
             assert slot.quota_used <= 1.0 + 1e-9
             assert slot.memory_used_mb <= slot.spec.memory_mb
-
-
-class TestLLMProperties:
-    @given(prompt=st.integers(min_value=1, max_value=4096))
-    def test_bucket_covers_prompt(self, prompt):
-        llm = DynamicLLMApp(spec=LLMSpec(num_layers=4), quota=0.5)
-        variant = llm.bucket_for(prompt)
-        bucket = int(variant.rsplit("-", 1)[1])
-        if prompt <= max(llm.prefill_buckets):
-            assert prompt <= bucket
-        else:
-            assert bucket == max(llm.prefill_buckets)
-
-    @given(
-        buckets=st.lists(
-            st.integers(min_value=8, max_value=2048),
-            min_size=1, max_size=5, unique=True,
-        )
-    )
-    def test_variant_count_matches_buckets(self, buckets):
-        llm = DynamicLLMApp(
-            spec=LLMSpec(num_layers=2), quota=0.5,
-            prefill_buckets=tuple(sorted(buckets)),
-        )
-        assert len(llm.variants) == len(buckets) + 1

@@ -15,24 +15,16 @@ from typing import List, Optional
 
 from .base import ClientState, SharingSystem
 
+# One round-robin cycle: each client's slice is this times its quota.
+CYCLE_US = 10_000.0
+# Polling delay charged for skipping an idle client's turn.
+IDLE_YIELD_US = 100.0
+
 
 class TemporalSystem(SharingSystem):
     """Quota-proportional round-robin time slicing."""
 
     name = "TEMPORAL"
-
-    def __init__(
-        self,
-        *args,
-        cycle_us: float = 10_000.0,
-        idle_yield_us: float = 100.0,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        if cycle_us <= 0:
-            raise ValueError("cycle_us must be positive")
-        self.cycle_us = cycle_us
-        self.idle_yield_us = idle_yield_us
 
     def setup(self) -> None:
         self._order: List[ClientState] = list(self.clients.values())
@@ -64,7 +56,7 @@ class TemporalSystem(SharingSystem):
         client = self._order[self._slice_idx]
         if self._has_unlaunched_work(client):
             self._idle_streak = 0
-            slice_len = self.cycle_us * client.app.quota
+            slice_len = CYCLE_US * client.app.quota
             self._run_slice(client, self.engine.now + slice_len)
             return
         # Idle client: poll, charge the yield delay, move on.
@@ -73,7 +65,7 @@ class TemporalSystem(SharingSystem):
             self._rotating = False
             return
         self._advance_index()
-        self.engine.schedule(self.idle_yield_us, self._begin_slice)
+        self.engine.schedule(IDLE_YIELD_US, self._begin_slice)
 
     def _advance_index(self) -> None:
         self._slice_idx = (self._slice_idx + 1) % len(self._order)

@@ -38,18 +38,17 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..apps.application import Application, Request
-from ..core.config import DEFAULT_CONFIG, BlessConfig
 from ..core.predictors import workload_equivalence_estimate
 from ..core.profiler import OfflineProfiler
 from ..core.squad import KernelSquad
 from ..gpusim.device import GPUSpec
 
-#: Default SLO-class weights of the cost model: a latency-critical
+#: SLO-class weights of the cost model: a latency-critical
 #: app's predicted slowdown counts this much more than a best-effort
 #: one, so the solver keeps LC tenants on the quieter GPUs.  Class
 #: names duck-type against ``repro.gateway.SLOSpec.slo_class`` — the
 #: cluster layer carries no gateway import.
-DEFAULT_CLASS_WEIGHTS: Mapping[str, float] = {
+CLASS_WEIGHTS: Mapping[str, float] = {
     "latency_critical": 4.0,
     "best_effort": 1.0,
 }
@@ -89,15 +88,8 @@ class InterferenceEstimator:
     construction.
     """
 
-    def __init__(
-        self,
-        profiler: Optional[OfflineProfiler] = None,
-        config: BlessConfig = DEFAULT_CONFIG,
-        gpu_spec: Optional[GPUSpec] = None,
-    ):
-        self.profiler = profiler or OfflineProfiler(
-            config=config, gpu_spec=gpu_spec
-        )
+    def __init__(self, gpu_spec: Optional[GPUSpec] = None):
+        self.profiler = OfflineProfiler(gpu_spec=gpu_spec)
         self._joint_cache: Dict[Hashable, float] = {}
         self.hits = 0
         self.misses = 0
@@ -186,32 +178,22 @@ class PlacementCostModel:
     time-unit objective instead predicts aggregate latency inflation,
     so minimizing it balances predicted work — and therefore makespan,
     throughput, and tail latency — across the cluster.  ``w_a`` is 1.0
-    unless an SLO spec classes the app, in which case ``class_weights``
+    unless an SLO spec classes the app, in which case ``CLASS_WEIGHTS``
     applies (latency-critical tenants weigh more, steering them onto
     quieter GPUs).  A full assignment's cost is the sum over GPUs;
     minimizing it is the §4.2.2 "avoid conflict" objective made
     concrete.
     """
 
-    def __init__(
-        self,
-        estimator: Optional[InterferenceEstimator] = None,
-        slo=None,
-        class_weights: Optional[Mapping[str, float]] = None,
-        config: BlessConfig = DEFAULT_CONFIG,
-        gpu_spec: Optional[GPUSpec] = None,
-    ):
-        self.estimator = estimator or InterferenceEstimator(
-            config=config, gpu_spec=gpu_spec
-        )
+    def __init__(self, slo=None, gpu_spec: Optional[GPUSpec] = None):
+        self.estimator = InterferenceEstimator(gpu_spec=gpu_spec)
         self.slo = slo
-        self.class_weights = dict(class_weights or DEFAULT_CLASS_WEIGHTS)
 
     def weight(self, app: Application) -> float:
         if self.slo is None:
             return 1.0
         return float(
-            self.class_weights.get(self.slo.slo_class(app.app_id), 1.0)
+            CLASS_WEIGHTS.get(self.slo.slo_class(app.app_id), 1.0)
         )
 
     def slot_cost(self, group: Sequence[Application]) -> float:

@@ -102,8 +102,7 @@ class ClusterPlacer:
 
     ``policy`` selects among quota-fit rules (first/best/worst-fit) and
     the interference-cost objective (``CONTENTION_AWARE``).  The cost
-    model is built lazily for the contention policy (pass ``cost_model``
-    to share an estimator or supply SLO class weights).
+    model is built only for the contention policy.
     """
 
     def __init__(
@@ -111,7 +110,6 @@ class ClusterPlacer:
         num_gpus: int,
         gpu_spec: Optional[GPUSpec] = None,
         policy: PlacementPolicy = PlacementPolicy.BEST_FIT,
-        cost_model: Optional[PlacementCostModel] = None,
         slo=None,
     ):
         if num_gpus < 1:
@@ -119,9 +117,9 @@ class ClusterPlacer:
         spec = gpu_spec or GPUSpec()
         self.policy = policy
         self.slots = [GPUSlot(index=i, spec=spec) for i in range(num_gpus)]
-        if cost_model is None and policy is PlacementPolicy.CONTENTION_AWARE:
-            cost_model = PlacementCostModel(gpu_spec=spec, slo=slo)
-        self.cost_model = cost_model
+        self.cost_model: Optional[PlacementCostModel] = None
+        if policy is PlacementPolicy.CONTENTION_AWARE:
+            self.cost_model = PlacementCostModel(gpu_spec=spec, slo=slo)
 
     @property
     def gpu_spec(self) -> GPUSpec:

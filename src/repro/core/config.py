@@ -5,6 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+# Host-side scheduling costs per kernel (§6.9): multi-task scheduling
+# 3.7us + configuration search 2us + squad generation 1us.
+MULTITASK_SCHED_US_PER_KERNEL = 3.7
+CONFIG_SEARCH_US_PER_KERNEL = 2.0
+SQUAD_GENERATION_US_PER_KERNEL = 1.0
+#: Total host-side scheduling time per kernel (6.7us, §6.9).
+SCHEDULING_US_PER_KERNEL = (
+    MULTITASK_SCHED_US_PER_KERNEL
+    + CONFIG_SEARCH_US_PER_KERNEL
+    + SQUAD_GENERATION_US_PER_KERNEL
+)
+
 
 @dataclass(frozen=True)
 class BlessConfig:
@@ -34,14 +46,6 @@ class BlessConfig:
     # are ~6.6 ms while 25 BERT kernels are ~0.7 ms.  A new arrival
     # never waits longer than roughly this budget.
     solo_squad_budget_us: float = 1_000.0
-    # Host-side scheduling costs per kernel (§6.9): multi-task
-    # scheduling 3.7us + configuration search 2us + squad generation 1us.
-    multitask_sched_us_per_kernel: float = 3.7
-    config_search_us_per_kernel: float = 2.0
-    squad_generation_us_per_kernel: float = 1.0
-    # Cap on exhaustively enumerated SP configurations; above this the
-    # determiner falls back to proportional-split + local search.
-    max_enumerated_configs: int = 4096
     # Semi-SP rear selection: "adaptive" sizes each request's
     # unrestricted rear to the kernels predicted to outlive the
     # shortest co-runner stack (Fig. 7(c)'s motivation); "static"
@@ -58,11 +62,6 @@ class BlessConfig:
     # Per-app QoS targets in us (§6.5).  When set for an app, the
     # scheduler paces it against this target instead of its ISO latency.
     slo_targets_us: Optional[Dict[str, float]] = None
-    # Deadline-aware squad composition: when on, requests carrying a
-    # gateway SLO class bias P-tilde selection by slack so
-    # latency-critical requests win squad slots as their deadline
-    # approaches.  Off by default — the byte-identical legacy ordering.
-    slo_aware: bool = False
 
     def __post_init__(self) -> None:
         if self.num_partitions < 2:
@@ -77,15 +76,6 @@ class BlessConfig:
             raise ValueError("nsp_predictor must be 'wave' or 'paper'")
         if self.semi_sp_mode not in ("adaptive", "static"):
             raise ValueError("semi_sp_mode must be 'adaptive' or 'static'")
-
-    @property
-    def scheduling_us_per_kernel(self) -> float:
-        """Total host-side scheduling time per kernel (6.7us, §6.9)."""
-        return (
-            self.multitask_sched_us_per_kernel
-            + self.config_search_us_per_kernel
-            + self.squad_generation_us_per_kernel
-        )
 
     def partition_fraction(self, index: int) -> float:
         """SM fraction of partition ``index`` (1-based, up to N)."""

@@ -17,7 +17,7 @@ is recorded as a ``config.chosen`` event carrying both estimates
 (``nsp_us`` = Eq. 2, ``sp_us`` = best Eq. 1) and the pick.
 
 For large ``K`` the composition count explodes (K=8, N=18 → 19 448);
-above ``config.max_enumerated_configs`` the determiner switches to a
+above ``MAX_ENUMERATED_CONFIGS`` (4096) the determiner switches to a
 proportional seed plus steepest-descent local search, which finds the
 same optimum in the common cases the paper evaluates (the objective —
 the max of per-app stacks, Eq. 1 — is unimodal along single-partition
@@ -153,6 +153,10 @@ class _Decided:
     sp_us: Optional[float]
 
 
+# Cap on exhaustively enumerated SP configurations; above this the
+# determiner falls back to proportional-split + local search.
+MAX_ENUMERATED_CONFIGS = 4096
+
 # Capacity of each determiner's decision LRU, keyed by squad signature
 # (quota mix, kernel windows, K, N): repeat squads cost one dict lookup
 # instead of a full search.  Invalidated on profile recalibration.
@@ -237,7 +241,6 @@ class ExecutionConfigDeterminer:
             config.num_partitions,
             config.nsp_predictor,
             config.semi_sp_mode,
-            config.max_enumerated_configs,
         )
         decided = _DECISIONS.get(table_key)
         if decided is None:
@@ -395,7 +398,7 @@ class ExecutionConfigDeterminer:
         if k > n:
             return None  # cannot give every request a partition
         stack = self._stack_matrix(squad, profiles, app_ids)
-        if composition_count(n, k) <= self.config.max_enumerated_configs:
+        if composition_count(n, k) <= MAX_ENUMERATED_CONFIGS:
             return self._enumerate_vectorized(stack, app_ids, n)
         return self._local_search(squad, profiles, stack, app_ids, n)
 

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..gpusim.interference import InterferenceModel
+from ..gpusim import interference
 from .profiler import AppProfile
 from .squad import KernelSquad
 
@@ -113,7 +113,6 @@ def workload_equivalence_estimate(
 def concurrent_wave_estimate(
     squad: KernelSquad,
     profiles: Mapping[str, AppProfile],
-    interference: InterferenceModel | None = None,
 ) -> float:
     """Simulator-calibrated NSP estimator (independent-flow model).
 
@@ -128,7 +127,6 @@ def concurrent_wave_estimate(
     This is the default NSP estimator
     (``BlessConfig.nsp_predictor = "wave"``).
     """
-    model = interference or InterferenceModel()
     entries = list(squad.entries.values())
     if not entries:
         return 0.0
@@ -164,10 +162,10 @@ def concurrent_wave_estimate(
         durations = profile.durations_at_fractions(demand / congestion, cols)
         if concurrent:
             pressure = min(1.0, max(0.0, total_intensity - mean_m))
-            slowdown = 1.0 + model.kappa_unrestricted * (
-                pressure ** model.gamma
+            slowdown = 1.0 + interference.KAPPA_UNRESTRICTED * (
+                pressure ** interference.GAMMA
             ) * np.minimum(1.0, profile.mem_intensity[cols])
-            durations = durations * np.minimum(model.max_slowdown, slowdown)
+            durations = durations * np.minimum(interference.MAX_SLOWDOWN, slowdown)
         stack = float(durations.sum() + profile.gaps[cols].sum())
         longest = max(longest, stack)
     return longest

@@ -43,13 +43,6 @@ class RequestProgress:
     profile: AppProfile
     partition: int           # quota mapped to the nearest partition index
     t_ref_us: float          # T[n%] or the SLO target
-    # Gateway SLO annotations (None outside gateway-driven serving).
-    # ``slo_class`` is "latency_critical" or "best_effort" (the string
-    # constants of ``repro.gateway.slo``, kept as plain strings here so
-    # the core layer does not import the gateway); ``slo_deadline_us``
-    # is the absolute deadline timestamp the gateway admitted against.
-    slo_class: Optional[str] = None
-    slo_deadline_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.t_ref_us <= 0:
@@ -158,35 +151,6 @@ class RequestProgress:
         steps = math.floor(64.0 * min(1.0, executed / self.t_ref_us))
         bonus = self.SLACK_BIAS * steps / 64.0
         return risk + bonus
-
-    # Constant squad-slot bias a latency-critical request enjoys over a
-    # best-effort co-runner at equal lag (slo_aware mode).  Deliberately
-    # larger than SLACK_BIAS so class priority dominates the
-    # finish-early bonus but stays small against genuine deadline risk:
-    # a best-effort request more than ~5% of a T_ref behind plan still
-    # outranks an unendangered latency-critical one.
-    SLO_CLASS_BIAS = 0.05
-
-    def slo_urgency(self, now: float) -> float:
-        """Deadline-aware squad priority (``BlessConfig.slo_aware``).
-
-        Extends :meth:`urgency` for gateway-annotated requests: a
-        latency-critical request gains a constant class bias plus a
-        *deadline pressure* term — the normalised shortfall of its
-        gateway-deadline laxity assuming best-case (whole-GPU) service
-        for the remainder.  Pressure is zero while the deadline is
-        comfortably reachable, so best-effort work still absorbs slack
-        capacity; it grows without bound as the admission deadline
-        approaches, so P-tilde selection is biased by slack exactly when
-        the SLO is at risk.  Unannotated requests fall through to the
-        legacy ordering unchanged.
-        """
-        base = self.urgency(now)
-        if self.slo_class != "latency_critical" or self.slo_deadline_us is None:
-            return base
-        laxity = self.slo_deadline_us - now - self.remaining_full_gpu_us()
-        pressure = max(0.0, -laxity) / self.t_ref_us
-        return base + self.SLO_CLASS_BIAS + pressure
 
     def relative_progress(self, now: float) -> float:
         """The paper's ``P̃ = P_r/P_e`` (§4.3.1; smaller = more urgent).

@@ -28,7 +28,7 @@ from ..gpusim.device import GPUSpec
 from ..gpusim.faults import FaultPlan
 from ..gpusim.kernel import KernelInstance
 from ..obs import events as obs_events
-from .config import BlessConfig, DEFAULT_CONFIG
+from .config import SCHEDULING_US_PER_KERNEL, BlessConfig, DEFAULT_CONFIG
 from .configurator import (
     ExecutionConfigDeterminer,
     quota_proportional_config,
@@ -183,26 +183,19 @@ class BlessRuntime(SharingSystem):
 
     def _active_progresses(self) -> List[RequestProgress]:
         progresses = []
-        gateway = self._gateway
         for client in self.clients.values():
             request = client.active
             if request is None or request.all_scheduled:
                 continue
             app_id = client.app_id
-            progress = RequestProgress(
-                request=request,
-                profile=self.profiles[app_id],
-                partition=self._partition_of[app_id],
-                t_ref_us=self._t_ref[app_id],
-            )
-            if gateway is not None:
-                # Annotate for slo_aware squad composition: class plus
-                # the absolute deadline the gateway admitted against.
-                progress.slo_class = gateway.class_of(app_id)
-                progress.slo_deadline_us = gateway.deadline_of.get(
-                    request.request_id
+            progresses.append(
+                RequestProgress(
+                    request=request,
+                    profile=self.profiles[app_id],
+                    partition=self._partition_of[app_id],
+                    t_ref_us=self._t_ref[app_id],
                 )
-            progresses.append(progress)
+            )
         return progresses
 
     def _schedule_round(self, from_idle: bool = False) -> None:
@@ -274,7 +267,7 @@ class BlessRuntime(SharingSystem):
         # work per kernel with the GPU, so only the first kernel's
         # scheduling is exposed — plus any residue when kernels are so
         # short the host cannot keep ahead ("overspending").
-        per_kernel = self.config.scheduling_us_per_kernel
+        per_kernel = SCHEDULING_US_PER_KERNEL
         sched_time = per_kernel * squad.total_kernels
         overspend = max(0.0, sched_time - exec_config.predicted_duration_us)
         delay = per_kernel + overspend

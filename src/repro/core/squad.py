@@ -109,7 +109,6 @@ class KernelSquad:
             config.num_partitions,
             config.nsp_predictor,
             config.semi_sp_mode,
-            config.max_enumerated_configs,
         )
         return key, [t[1] for t in terms]
 
@@ -153,7 +152,6 @@ def generate_squad(
 
     # A lone candidate is picked whatever its key, so it gets none.
     ranked = config.use_multitask_scheduler and not solo
-    slo_aware = config.slo_aware
 
     def key(p: RequestProgress, in_squad: int) -> Tuple[float, float]:
         # Final tie-break: quota-weighted interleaving — the request
@@ -162,11 +160,7 @@ def generate_squad(
         # arriving at the same instant) interleave instead of one
         # filling the squad, and a 8/9-quota app correctly receives
         # ~8x the kernels of a 1/9-quota co-runner at equal lag.
-        # ``slo_aware`` swaps in the deadline-pressure ordering for
-        # gateway-annotated requests; the default flag preserves the
-        # legacy arithmetic byte-for-byte.
-        urgency = p.slo_urgency(now) if slo_aware else p.urgency(now)
-        return (urgency, -in_squad / p.request.app.quota)
+        return (p.urgency(now), -in_squad / p.request.app.quota)
 
     # ``now`` is fixed for the whole call and a pick changes only the
     # chosen request's progress and squad share, so every other key

@@ -90,18 +90,6 @@ def mean_latency_ms(result: ServingResult) -> float:
     return result.mean_of_app_means() / 1000.0
 
 
-def reduction_vs(results: Dict[str, ServingResult], reference: str) -> Dict[str, float]:
-    """Fractional latency reduction of BLESS vs each other system."""
-    bless = mean_latency_ms(results["BLESS"])
-    out = {}
-    for name, result in results.items():
-        if name in ("BLESS", reference):
-            continue
-        other = mean_latency_ms(result)
-        out[name] = 1.0 - bless / other if other > 0 else float("nan")
-    return out
-
-
 def format_table(
     header: List[str], rows: List[List[str]], title: str = ""
 ) -> str:

@@ -34,11 +34,13 @@ def run(
     systems=("TEMPORAL", "GSLICE", "UNBOUND", "REEF+", "BLESS"),
     quotas=QUOTAS_2MODEL,
     jobs: Optional[int] = None,
+    pairs: Optional[List[List[str]]] = None,
 ) -> Dict[str, float]:
-    """Mean latency deviation (us) per system over pairs x quota splits."""
+    """Mean latency deviation (us) per system over pairs x quota splits
+    (``pairs`` defaults to the nine deployments of the figure)."""
     combos = []
     cells: List[ServeCell] = []
-    for model_a, model_b in _pairs():
+    for model_a, model_b in pairs or _pairs():
         for quota_a, quota_b in quotas:
             apps = [
                 inference_app(model_a).with_quota(quota_a, app_id="app1"),
@@ -64,26 +66,18 @@ def run(
     return {name: float(np.mean(values)) for name, values in deviations.items()}
 
 
-def run_quick(load: str = "B", requests: int = 5) -> Dict[str, float]:
+def run_quick(
+    load: str = "B", requests: int = 5, jobs: Optional[int] = None
+) -> Dict[str, float]:
     """Smaller version for benches: 3 pairs x 3 quota splits."""
-    quotas = (QUOTAS_2MODEL[0], QUOTAS_2MODEL[3], QUOTAS_2MODEL[6])
-    deviations: Dict[str, List[float]] = {}
-    for model_a, model_b in [["R50", "R50"], ["R50", "VGG"], ["BERT", "BERT"]]:
-        for quota_a, quota_b in quotas:
-            apps = [
-                inference_app(model_a).with_quota(quota_a, app_id="app1"),
-                inference_app(model_b).with_quota(quota_b, app_id="app2"),
-            ]
-            def bindings(apps=apps):
-                return bind_load(apps, load, requests=requests)
-
-            targets = iso_targets_us(bindings())
-            for name in ("TEMPORAL", "GSLICE", "BLESS"):
-                result = INFERENCE_SYSTEMS[name]().serve(bindings())
-                deviations.setdefault(name, []).append(
-                    latency_deviation_us(result, targets)
-                )
-    return {name: float(np.mean(v)) for name, v in deviations.items()}
+    return run(
+        load=load,
+        requests=requests,
+        systems=("TEMPORAL", "GSLICE", "BLESS"),
+        quotas=(QUOTAS_2MODEL[0], QUOTAS_2MODEL[3], QUOTAS_2MODEL[6]),
+        jobs=jobs,
+        pairs=[["R50", "R50"], ["R50", "VGG"], ["BERT", "BERT"]],
+    )
 
 
 def main(jobs: Optional[int] = None) -> None:

@@ -80,7 +80,7 @@ def _fig13(jobs: Optional[int] = None) -> Tuple[str, str]:
 def _fig14(jobs: Optional[int] = None) -> Tuple[str, str]:
     from .fig14_deviation import run_quick
 
-    data = run_quick(requests=4)
+    data = run_quick(requests=4, jobs=jobs)
     text = ", ".join(f"{k} {v / 1000:.2f}ms" for k, v in data.items())
     return text, "TEMPORAL 14.3, GSLICE 2.1, BLESS 0.6 ms"
 

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.config import BlessConfig
+from ..core.config import (
+    CONFIG_SEARCH_US_PER_KERNEL,
+    MULTITASK_SCHED_US_PER_KERNEL,
+    SCHEDULING_US_PER_KERNEL,
+    SQUAD_GENERATION_US_PER_KERNEL,
+    BlessConfig,
+)
 from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
 from ..workloads.suite import bind_load, symmetric_pair
@@ -37,10 +43,10 @@ def run(requests: int = 6) -> Dict[str, float]:
         "squad_sync_us": spec.sync_overhead_us,
         "kernel_launch_us": spec.kernel_launch_us,
         "context_switch_us": spec.context_switch_us,
-        "sched_us_per_kernel": config.scheduling_us_per_kernel,
-        "multitask_us": config.multitask_sched_us_per_kernel,
-        "search_us": config.config_search_us_per_kernel,
-        "generation_us": config.squad_generation_us_per_kernel,
+        "sched_us_per_kernel": SCHEDULING_US_PER_KERNEL,
+        "multitask_us": MULTITASK_SCHED_US_PER_KERNEL,
+        "search_us": CONFIG_SEARCH_US_PER_KERNEL,
+        "generation_us": SQUAD_GENERATION_US_PER_KERNEL,
         "mps_context_mb": float(spec.mps_context_mb),
         "measured_squads": squads,
         "measured_context_switches": switches,

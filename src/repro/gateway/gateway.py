@@ -17,7 +17,14 @@ from typing import Dict, Mapping, Optional
 
 from ..apps.application import Application
 from ..workloads.suite import estimated_solo_us
-from .slo import LATENCY_CRITICAL, SLO_CLASSES, SLOSpec
+from .slo import (
+    DEFAULT_POLICY,
+    DEGRADE_FACTORS,
+    LATENCY_CRITICAL,
+    MAX_BACKLOG,
+    SLO_CLASSES,
+    SLOSpec,
+)
 
 #: Per-class counter names, in emission order (schema is fixed even at
 #: zero so extras keys are identical across runs and merge cleanly).
@@ -54,11 +61,7 @@ class ServingGateway:
         for app_id, app in apps.items():
             policy = spec.policy_for(app_id)
             self._class[app_id] = policy.slo_class
-            self._budget[app_id] = (
-                policy.deadline_us
-                if policy.deadline_us is not None
-                else policy.deadline_factor * estimated_solo_us(app)
-            )
+            self._budget[app_id] = policy.deadline_factor * estimated_solo_us(app)
         # request_id -> absolute deadline of every admitted request
         # still in flight (popped on finish/shed).
         self.deadline_of: Dict[int, float] = {}
@@ -70,7 +73,7 @@ class ServingGateway:
         self.counters["preempted_kernels"] = 0.0
 
     def class_of(self, app_id: str) -> str:
-        return self._class.get(app_id, self.spec.default_policy.slo_class)
+        return self._class.get(app_id, DEFAULT_POLICY.slo_class)
 
     def budget_us(self, app_id: str) -> float:
         return self._budget[app_id]
@@ -83,7 +86,7 @@ class ServingGateway:
         """Admit, degrade, or shed one arriving request.
 
         ``backlog`` is the client's depth (queued + active) *before*
-        this request.  Below ``max_backlog`` the request is admitted at
+        this request.  Below ``MAX_BACKLOG`` the request is admitted at
         its clean deadline budget; each unit of excess backlog burns
         one degrade rung (deadline stretched by ``1/factor``); past the
         last rung the request is shed at the gate — it never enters the
@@ -91,15 +94,14 @@ class ServingGateway:
         """
         cls = self.class_of(app_id)
         self.counters[f"arrived_{cls}"] += 1.0
-        spec = self.spec
         budget = self._budget[app_id]
-        if backlog < spec.max_backlog:
+        if backlog < MAX_BACKLOG:
             rung = -1
         else:
-            excess = backlog - spec.max_backlog
-            if excess < len(spec.degrade_factors):
+            excess = backlog - MAX_BACKLOG
+            if excess < len(DEGRADE_FACTORS):
                 rung = excess
-                budget = budget / spec.degrade_factors[rung]
+                budget = budget / DEGRADE_FACTORS[rung]
                 self.counters[f"degraded_{cls}"] += 1.0
             else:
                 self.counters[f"shed_admission_{cls}"] += 1.0
@@ -115,7 +117,7 @@ class ServingGateway:
             slo_class=cls,
             rung=rung,
             deadline_us=deadline,
-            preempt=spec.preempt and cls == LATENCY_CRITICAL,
+            preempt=self.spec.preempt and cls == LATENCY_CRITICAL,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from .device import GPUDevice, GPUSpec, MemoryPool, OutOfMemoryError
 from .engine import SimEngine, TimelineSegment
 from .faults import FaultInjector, FaultPlan, resolve_fault_plan
 from .hwsched import Allocation, HardwareScheduler
-from .interference import InterferenceModel
 from .kernel import KernelInstance, KernelKind, KernelSpec
 from .mig import MIG_PROFILES, MIGInstance, assign_slices, nearest_profile, partition
 from .pcie import PCIeChannel
@@ -29,7 +28,6 @@ __all__ = [
     "GPUDevice",
     "GPUSpec",
     "HardwareScheduler",
-    "InterferenceModel",
     "KernelInstance",
     "KernelKind",
     "KernelSpec",

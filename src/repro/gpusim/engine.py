@@ -56,7 +56,7 @@ constructor's ``hw_policy``:
   serve N's rates.  A miss runs one scalar rate kernel;
 * ``fifo`` — FIFO grants depend on kernel start order, not only on
   membership, so every rebalance runs the reference pipeline
-  (``HardwareScheduler.allocate`` → ``InterferenceModel.slowdowns`` →
+  (``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
   ``KernelSpec.rate_at``) and nothing is memoised.
 
 ``validate=True`` keeps the same loop and rate paths.  After every
@@ -80,7 +80,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from .device import GPUDevice
 from .hwsched import CAPACITY_EPS, SATISFIED_EPS, Allocation, HardwareScheduler
-from .interference import InterferenceModel
+from . import interference
 from .kernel import KernelInstance, KernelKind
 from .pcie import PCIeChannel
 from .stream import DeviceQueue
@@ -111,16 +111,16 @@ _REBALANCE_CACHE_TRACK = _REBALANCE_CACHE_SIZE // 2
 
 # Process-wide rebalance memo: engines are created per serve, so their
 # signature-keyed L1 memos die with them while the signature *space*
-# (which app layers co-run) repeats across the serves of a sweep.  One
-# table per interference model; a key is built from the engine's rate
-# rows, which hold only portable values, so serve N+1 starts warm.
+# (which app layers co-run) repeats across the serves of a sweep.  A
+# key is built from the engine's rate rows, which hold only portable
+# values, so serve N+1 starts warm.
 # Only running sets of one or two kernels are probed and filled: those
 # repeat across serves, while wider sets almost never do and would only
 # pay for the key.  Values are immutable result tuples computed by the
-# exact same arithmetic, so sharing cannot change results; a table is
-# swept wholesale if it ever fills.
+# exact same arithmetic, so sharing cannot change results; the table
+# is swept wholesale if it ever fills.
 _RATES_L2_SIZE = 65536
-_rates_l2: Dict[InterferenceModel, Dict[tuple, tuple]] = {}
+_rates_l2: Dict[tuple, tuple] = {}
 
 # The fit bound of the rate kernel: when every kernel runs in its own
 # context at one priority level and the wants sum to at most this, each
@@ -168,14 +168,12 @@ class SimEngine:
     def __init__(
         self,
         device: Optional[GPUDevice] = None,
-        interference: Optional[InterferenceModel] = None,
         record_timeline: bool = False,
         hw_policy: str = "fair",
         validate: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
     ):
         self.device = device or GPUDevice()
-        self.interference = interference or InterferenceModel()
         self.hwsched = HardwareScheduler(policy=hw_policy)
         # Debug mode: after every rebalance, check the applied rates
         # against the reference pipeline and assert the physical
@@ -186,7 +184,6 @@ class SimEngine:
         # Fair grants are a pure function of running-set membership, so
         # they are memoised; FIFO grants also depend on start order.
         self._memo_rates = self.hwsched.policy == "fair"
-        self._rates_l2 = _rates_l2.setdefault(self.interference, {})
         self.pcie = PCIeChannel()
         self.now = 0.0
         self._heap: List[Tuple[float, int, _Event]] = []
@@ -739,7 +736,7 @@ class SimEngine:
                 if l2_key is None:
                     cached = self._compute_rates(rows)
                 else:
-                    l2 = self._rates_l2
+                    l2 = _rates_l2
                     cached = l2.get(l2_key)
                     if cached is None:
                         cached = self._compute_rates(rows)
@@ -966,13 +963,14 @@ class SimEngine:
                         if not row[1]:
                             num_unrestricted += 1
 
-        model = self.interference
-        kappa_restricted = model.kappa_restricted
+        kappa_restricted = interference.KAPPA_RESTRICTED
         kappa_scattered = (
-            model.kappa_unrestricted if num_unrestricted >= 2 else kappa_restricted
+            interference.KAPPA_UNRESTRICTED
+            if num_unrestricted >= 2
+            else kappa_restricted
         )
-        gamma = model.gamma
-        max_slowdown = model.max_slowdown
+        gamma = interference.GAMMA
+        max_slowdown = interference.MAX_SLOWDOWN
         rates = []
         # The conditionals below are the min()/max() calls of the
         # reference, with the same operand order on ties.
@@ -1008,8 +1006,8 @@ class SimEngine:
     def _reference_rates(self) -> Tuple[tuple, List[Allocation]]:
         """The running set's rates through the reference pipeline.
 
-        ``HardwareScheduler.allocate`` → ``InterferenceModel.slowdowns``
-        → ``KernelSpec.rate_at``, one kernel at a time.  Returns the
+        ``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
+        ``KernelSpec.rate_at``, one kernel at a time.  Returns the
         ``(fractions, rates, busy)`` triple in the rate kernel's layout,
         plus the allocations for the invariant checks.
         """
@@ -1018,7 +1016,7 @@ class SimEngine:
             running, {kernel.uid: kernel.queue for kernel in running}
         )
         active = [a for a in allocations if a.sm_fraction > 0]
-        slowdowns = self.interference.slowdowns(
+        slowdowns = interference.slowdowns(
             [
                 (a.kernel.spec.mem_intensity, a.kernel.queue.context.restricted)
                 for a in active

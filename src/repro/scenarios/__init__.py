@@ -9,18 +9,16 @@ pool-parallel, byte-identical to serial, auto-ingested into the
 results catalog under the scenario name.
 
 See ``docs/scenarios.md`` for the document schema, the component
-catalog, the committed zoo, and the plugin protocol.
+catalog and the committed zoo.
 """
 
 from .registry import (
     KINDS,
-    PLUGINS_ENV,
     REGISTRY,
     ComponentBuildError,
     ComponentRegistry,
     ScenarioError,
     UnknownComponentError,
-    load_plugins,
     register,
 )
 from .spec import (
@@ -55,7 +53,6 @@ from . import components as _components  # noqa: F401
 
 __all__ = [
     "KINDS",
-    "PLUGINS_ENV",
     "REGISTRY",
     "SCHEMA_VERSION",
     "BASE_POINT_KEY",
@@ -75,7 +72,6 @@ __all__ = [
     "find_scenario",
     "from_dict",
     "list_zoo",
-    "load_plugins",
     "load_scenario",
     "load_zoo",
     "loads",

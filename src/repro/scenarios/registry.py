@@ -3,10 +3,9 @@
 A scenario spec (:mod:`repro.scenarios.spec`) never imports python
 objects — it names components by ``(kind, name)`` registry key plus
 kwargs, and this registry resolves them.  The shape follows vivarium's
-component manager/plugin split (PAPERS.md): the framework owns the
-*kinds* (what slots a scenario has), while the components themselves
-are pluggable — anything can call :func:`register` to add one without
-touching the framework.
+component manager split (PAPERS.md): the framework owns the *kinds*
+(what slots a scenario has), while the components register themselves
+with :func:`register`.
 
 Kinds
 -----
@@ -16,26 +15,11 @@ Kinds
 ``slo``        gateway-spec builders ``(apps, **kw) → SLOSpec``
 ``system``     sharing-system factories (the §6.1 comparison matrix)
 ``placement``  cluster placement policies → :class:`PlacementPolicy`
-
-Plugins
--------
-Entry-point-style extension without packaging metadata: name modules in
-the ``REPRO_SCENARIO_PLUGINS`` environment variable (comma-separated
-import paths) and :func:`load_plugins` imports each one before specs
-resolve; a plugin module registers its components at import time with
-the :func:`register` decorator::
-
-    from repro.scenarios import register
-
-    @register("arrivals", "my_arrivals")
-    def bind_my_arrivals(apps, requests=8, **kw): ...
 """
 
 from __future__ import annotations
 
-import importlib
 import inspect
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 KINDS: Tuple[str, ...] = (
@@ -46,10 +30,6 @@ KINDS: Tuple[str, ...] = (
     "system",
     "placement",
 )
-
-#: Environment variable naming plugin modules to import (comma-sep).
-PLUGINS_ENV = "REPRO_SCENARIO_PLUGINS"
-
 
 class ScenarioError(ValueError):
     """Base class for every scenario framework error."""
@@ -75,8 +55,7 @@ class ComponentRegistry:
     ) -> Callable:
         """Register ``factory`` under ``(kind, name)``; decorator-friendly.
 
-        Re-registering a key overwrites it (last wins), so plugins can
-        shadow a built-in deliberately.
+        Re-registering a key overwrites it (last wins).
         """
         if kind not in KINDS:
             raise ScenarioError(
@@ -129,20 +108,6 @@ REGISTRY = ComponentRegistry()
 
 
 def register(kind: str, name: str, factory: Optional[Callable] = None):
-    """Module-level shorthand for ``REGISTRY.register`` (plugin API)."""
+    """Module-level shorthand for ``REGISTRY.register``."""
     return REGISTRY.register(kind, name, factory)
 
-
-def load_plugins(modules: Optional[List[str]] = None) -> List[str]:
-    """Import plugin modules (argument, else ``REPRO_SCENARIO_PLUGINS``).
-
-    Each module registers its components at import time.  Returns the
-    module names imported; a module that fails to import raises — a
-    half-registered scenario namespace is worse than a loud error.
-    """
-    if modules is None:
-        env = os.environ.get(PLUGINS_ENV, "").strip()
-        modules = [m.strip() for m in env.split(",") if m.strip()]
-    for module in modules:
-        importlib.import_module(module)
-    return modules

@@ -12,9 +12,7 @@ objects: a cell's ``bindings_factory`` is a ``functools.partial`` over
 the module-level :func:`_bindings_for` carrying the (picklable)
 :class:`~repro.scenarios.spec.ScenarioSpec` of its point, and the
 workload is re-resolved against the component registry *inside* the
-worker.  Plugin components keep working there because
-:func:`~repro.scenarios.registry.load_plugins` re-imports the
-``REPRO_SCENARIO_PLUGINS`` modules wherever bindings are rebuilt.
+worker.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from ..catalog.ingest import result_metrics
 from ..metrics.stats import ServingResult
 from ..parallel import ServeCell, run_cells
 from ..workloads.suite import WorkloadBinding
-from .registry import REGISTRY, ScenarioError, load_plugins
+from .registry import REGISTRY, ScenarioError
 from .spec import ScenarioSpec, load_scenario
 
 #: Point key used when a scenario has no sweep section.
@@ -154,10 +152,7 @@ def build_slo(spec: ScenarioSpec, apps: Optional[Sequence] = None):
 
 
 def _bindings_for(spec: ScenarioSpec) -> List[WorkloadBinding]:
-    # Module-level cell bindings factory (must pickle as a partial):
-    # re-imports plugins first so plugin-registered components resolve
-    # inside freshly-forked pool workers too.
-    load_plugins()
+    # Module-level cell bindings factory (must pickle as a partial).
     return build_bindings(spec)
 
 
@@ -197,7 +192,6 @@ class ClusterCellSystem:
         from ..cluster.controller import ClusterController
         from ..cluster.online import AppArrival, OnlineClusterController
 
-        load_plugins()
         factory = REGISTRY.resolve("system", self.system)
         policy = REGISTRY.resolve("placement", self.placement)
         if self.online:
@@ -247,7 +241,6 @@ def _cell_system(spec: ScenarioSpec, system: str, fault_plan, slo):
 
 def scenario_cells(spec: ScenarioSpec) -> List[ServeCell]:
     """The full point × system grid as ready-to-run cells."""
-    load_plugins()
     cells: List[ServeCell] = []
     for key, point_spec in expand_sweep(spec):
         apps = build_apps(point_spec)
@@ -298,7 +291,6 @@ def resolve_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
     placement policy, so a committed zoo file that names a missing
     component or bad kwargs fails here — not halfway into a run.
     """
-    load_plugins()
     points = expand_sweep(spec)
     apps_summary: List[str] = []
     cells = 0

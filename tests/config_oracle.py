@@ -19,7 +19,7 @@ Tests compare ``ExecutionConfigDeterminer`` and the predictors to it.
 import math
 
 from repro.core.configurator import ExecutionConfig
-from repro.gpusim.interference import InterferenceModel
+from repro.gpusim.interference import GAMMA, KAPPA_UNRESTRICTED, MAX_SLOWDOWN
 
 
 def compositions(total, parts):
@@ -87,7 +87,7 @@ def rear_counts(squad, profiles, partitions):
 
 def determine(squad, profiles, config):
     """The determiner's decision for a squad whose spatial space is
-    enumerable (at most ``config.max_enumerated_configs`` splits)."""
+    enumerable (at most ``MAX_ENUMERATED_CONFIGS`` splits)."""
     if config.nsp_predictor == "paper":
         nsp = workload_equivalence_estimate_scalar(squad, profiles)
     else:
@@ -142,9 +142,8 @@ def workload_equivalence_estimate_scalar(squad, profiles):
     return total
 
 
-def concurrent_wave_estimate_scalar(squad, profiles, interference=None):
+def concurrent_wave_estimate_scalar(squad, profiles):
     """The simulator-calibrated NSP estimator, one kernel at a time."""
-    model = interference or InterferenceModel()
     entries = list(squad.entries.values())
     if not entries:
         return 0.0
@@ -181,10 +180,10 @@ def concurrent_wave_estimate_scalar(squad, profiles, interference=None):
             duration = profile.duration_at_fraction(share, index)
             if concurrent:
                 pressure = min(1.0, max(0.0, total_intensity - mean_m))
-                slowdown = 1.0 + model.kappa_unrestricted * (
-                    pressure ** model.gamma
+                slowdown = 1.0 + KAPPA_UNRESTRICTED * (
+                    pressure ** GAMMA
                 ) * min(1.0, float(profile.mem_intensity[index]))
-                duration *= min(model.max_slowdown, slowdown)
+                duration *= min(MAX_SLOWDOWN, slowdown)
             stack += duration + float(profile.gaps[index])
         longest = max(longest, stack)
     return longest

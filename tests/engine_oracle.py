@@ -7,7 +7,7 @@ with none of its machinery:
 * a launch makes one visibility event per kernel;
 * each dispatch scans every queue until the heads are stable;
 * every event recomputes all rates through the reference pipeline
-  (``HardwareScheduler.allocate`` → ``InterferenceModel.slowdowns`` →
+  (``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
   ``KernelSpec.rate_at``), with no gating and no memo.
 
 Tests compare the engine to it byte for byte.  Only the ``engine_*``

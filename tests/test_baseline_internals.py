@@ -11,6 +11,7 @@ from repro.baselines import (
     UnboundSystem,
     ZicoSystem,
 )
+from repro.baselines import temporal
 from repro.gpusim.kernel import KernelSpec
 from repro.workloads.arrivals import OneShot, TraceReplay
 from repro.workloads.suite import WorkloadBinding, bind_load
@@ -31,24 +32,26 @@ def oneshot(apps):
 
 
 class TestTemporalMechanics:
-    def test_slice_rotation_interleaves_progress(self):
+    def test_slice_rotation_interleaves_progress(self, monkeypatch):
         """With two active requests, neither finishes a whole request
         before the other has started (slices rotate)."""
+        monkeypatch.setattr(temporal, "CYCLE_US", 2_000.0)
         apps = [
             custom_app("a", 40, 200.0, 0.5),
             custom_app("b", 40, 200.0, 0.5),
         ]
-        system = TemporalSystem(cycle_us=2_000.0, record_timeline=True)
+        system = TemporalSystem(record_timeline=True)
         result = system.serve(oneshot(apps))
         finishes = sorted(r.finish for r in result.records)
         # Interleaving: both finish within ~2 cycles of each other, not
         # back-to-back full requests (8ms each).
         assert finishes[1] - finishes[0] < 6_000.0
 
-    def test_context_switch_charged_between_slices(self):
+    def test_context_switch_charged_between_slices(self, monkeypatch):
         """Temporal's makespan strictly exceeds the work content."""
+        monkeypatch.setattr(temporal, "CYCLE_US", 1_000.0)
         apps = [custom_app("a", 20, 100.0, 0.5), custom_app("b", 20, 100.0, 0.5)]
-        result = TemporalSystem(cycle_us=1_000.0).serve(oneshot(apps))
+        result = TemporalSystem().serve(oneshot(apps))
         work = 2 * 20 * 100.0
         assert result.makespan_us > work * 1.05
 

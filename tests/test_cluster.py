@@ -385,9 +385,7 @@ class TestOnlineController:
         assert result.merged.extras["cluster_apps_departed"] == 1.0
 
     def test_full_cluster_sheds_with_request_accounting(self):
-        controller = OnlineClusterController(
-            num_gpus=1, degrade_factors=()
-        )
+        controller = OnlineClusterController(num_gpus=1)
         sched = self.schedule([("a", 1.0, 0, None), ("b", 0.9, 0, None)])
         result = controller.serve(sched)
         assert result.shed_apps == ["b"]
@@ -510,7 +508,6 @@ class TestOnlineSLOAccounting:
         sched = self.schedule([("a", 1.0, 0, None), ("b", 0.9, 0, None)])
         controller = OnlineClusterController(
             num_gpus=1,
-            degrade_factors=(),
             system_kwargs={"slo": self.spec()},
         )
         result = controller.serve(sched)
@@ -552,7 +549,7 @@ class TestOnlineSLOAccounting:
 
     def test_non_slo_runs_keep_historical_schema(self):
         sched = self.schedule([("a", 1.0, 0, None), ("b", 0.9, 0, None)])
-        controller = OnlineClusterController(num_gpus=1, degrade_factors=())
+        controller = OnlineClusterController(num_gpus=1)
         result = controller.serve(sched)
         extras = result.merged.extras
         assert extras["cluster_requests_shed"] > 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.application import Application, AppKind, Request
 from repro.apps.models import inference_app
+from repro.core import configurator
 from repro.core.config import BlessConfig
 from repro.core.configurator import (
     ExecutionConfigDeterminer,
@@ -247,12 +248,14 @@ class TestDeterminer:
             )
             assert best.predicted_duration_us <= duration + 1e-9
 
-    def test_local_search_matches_enumeration(self, toy_setup):
+    def test_local_search_matches_enumeration(self, toy_setup, monkeypatch):
         squad, profiles = toy_setup
         exhaustive = ExecutionConfigDeterminer(BlessConfig()).determine(squad, profiles)
-        forced_local = ExecutionConfigDeterminer(
-            BlessConfig(max_enumerated_configs=0)
-        ).determine(squad, profiles)
+        monkeypatch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", 0)
+        monkeypatch.setattr(configurator, "_DECISIONS", {})
+        forced_local = ExecutionConfigDeterminer(BlessConfig()).determine(
+            squad, profiles
+        )
         assert forced_local.predicted_duration_us == pytest.approx(
             exhaustive.predicted_duration_us, rel=0.02
         )

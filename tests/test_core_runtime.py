@@ -9,7 +9,7 @@ from repro.baselines import (
     iso_targets_us,
     solo_latency_us,
 )
-from repro.core.config import BlessConfig
+from repro.core.config import SCHEDULING_US_PER_KERNEL, BlessConfig
 from repro.core.runtime import BlessRuntime
 from repro.metrics.deviation import latency_deviation_us
 from repro.metrics.stats import qos_violation_rate
@@ -192,4 +192,4 @@ class TestHyperParameters:
             BlessConfig(solo_squad_fraction=0.0)
 
     def test_scheduling_cost_totals(self):
-        assert BlessConfig().scheduling_us_per_kernel == pytest.approx(6.7)
+        assert SCHEDULING_US_PER_KERNEL == pytest.approx(6.7)

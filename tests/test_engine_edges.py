@@ -1,5 +1,7 @@
 """Edge-case tests for the engine's event machinery and queues."""
 
+import math
+
 import pytest
 
 from repro.gpusim.context import ContextRegistry
@@ -101,6 +103,42 @@ class TestRunControl:
         assert fired == []
         assert engine.run() == 20.0
         assert fired == [20.0]
+
+
+class TestLargeClock:
+    @staticmethod
+    def serve_burst(t0):
+        """Two half-GPU queues of five kernels each (37.3 us and 91.7 us,
+        demand 0.7, intensity 0.3) launched by a callback at ``t0``;
+        returns (end time, kernels completed, events fired)."""
+        engine, registry = make_engine()
+        queues = [
+            engine.create_queue(registry.create(name, 0.5, charge_memory=False))
+            for name in ("a", "b")
+        ]
+
+        def launch():
+            for queue, dur in zip(queues, (37.3, 91.7)):
+                for index in range(5):
+                    spec = KernelSpec(name=f"k{index}", base_duration_us=dur,
+                                      sm_demand=0.7, mem_intensity=0.3)
+                    engine.launch(KernelInstance(spec), queue)
+
+        engine.schedule(t0, launch)
+        end = engine.run(max_events=10_000)
+        return end, engine.kernels_completed, engine.counters["events_processed"]
+
+    @pytest.mark.parametrize("t0", [1e9, 1e12, 1e14])
+    def test_finish_threshold_scales_with_the_clock(self, t0):
+        # Far from t=0 a kernel's residual work after its epoch can be
+        # ~rate * ulp(now), far above the 1e-9 floor: without the
+        # rate-scaled bound it never drains and the run spins until
+        # the event cap.
+        makespan, completed, events = self.serve_burst(0.0)
+        assert (completed, events) == (10, 21)
+        end, completed, events = self.serve_burst(t0)
+        assert (completed, events) == (10, 21)
+        assert abs(end - (t0 + makespan)) <= 4 * math.ulp(end)
 
 
 class TestMixedKinds:

@@ -422,7 +422,7 @@ class TestCountersSurfaced:
 def kernel_rates(specs, owners, limits, priorities):
     """The engine's rate kernel over one running set, plus the reference
     pipeline (``HardwareScheduler.allocate`` →
-    ``InterferenceModel.slowdowns`` → ``KernelSpec.rate_at``).
+    ``interference.slowdowns`` → ``KernelSpec.rate_at``).
 
     ``owners[i]`` is the context slot of kernel ``i``; ``limits`` and
     ``priorities`` describe the slots.
@@ -632,15 +632,14 @@ class TestRatesL2:
         for make_system in (BlessRuntime, GSLICESystem):
             monkeypatch.setattr(engine_mod, "_rates_l2", {})
             cold = self.serve_metrics(make_system())
-            assert any(engine_mod._rates_l2.values())
+            assert engine_mod._rates_l2
             warm = self.serve_metrics(make_system())
             assert warm == cold, make_system.__name__
             # The serve reached sets of three or more running kernels,
             # and none of them were memoised process-wide.
             assert max(widest) >= 3
-            for table in engine_mod._rates_l2.values():
-                for key in table:
-                    assert kernels_in_l2_key(key) <= 2, key
+            for key in engine_mod._rates_l2:
+                assert kernels_in_l2_key(key) <= 2, key
             widest.clear()
 
     @pytest.mark.parametrize("shared_first", [True, False])
@@ -679,6 +678,78 @@ def mix_metrics(system):
     return result_metrics(
         system.serve(bind_load(multi_app_mix(4), "A", requests=3))
     )
+
+
+def validate_every_engine(monkeypatch):
+    """Build every ``SimEngine`` with ``validate=True`` and a cold
+    process-wide rate memo; returns the (rate-kernel shape counts,
+    validated rebalances) the run then fills."""
+    monkeypatch.setattr(engine_mod, "_rates_l2", {})
+    engine_init = SimEngine.__init__
+
+    def validating_init(self, *args, **kwargs):
+        kwargs["validate"] = True
+        engine_init(self, *args, **kwargs)
+
+    shapes = Counter()
+    compute_rates = SimEngine._compute_rates
+
+    def classified(self, rows):
+        shapes[rate_shape(self, rows)] += 1
+        return compute_rates(self, rows)
+
+    checks = []
+    validate_rates = SimEngine._validate_rates
+
+    def counted(self, applied):
+        checks.append(applied)
+        validate_rates(self, applied)
+
+    monkeypatch.setattr(SimEngine, "__init__", validating_init)
+    monkeypatch.setattr(SimEngine, "_compute_rates", classified)
+    monkeypatch.setattr(SimEngine, "_validate_rates", counted)
+    return shapes, checks
+
+
+def replay_cluster_smoke():
+    from repro.experiments.cluster_scale import run_quick
+
+    return run_quick(jobs=1)
+
+
+def replay_cluster_contention_smoke():
+    from repro.experiments.cluster_scale import run_churn_quick
+
+    return run_churn_quick(jobs=1)
+
+
+def replay_resilience_smoke():
+    from repro.experiments.resilience import run_quick
+
+    return run_quick(jobs=1)
+
+
+def replay_slo_smoke():
+    from repro.experiments.slo_attainment import run_quick
+
+    return run_quick(jobs=1)
+
+
+def replay_scenario_smoke():
+    from repro.scenarios import list_zoo, load_zoo, run_scenario
+
+    return {name: run_scenario(load_zoo(name), jobs=1) for name in list_zoo()}
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_REPLAYS = {
+    "cluster_smoke": replay_cluster_smoke,
+    "cluster_contention_smoke": replay_cluster_contention_smoke,
+    "resilience_smoke": replay_resilience_smoke,
+    "slo_smoke": replay_slo_smoke,
+    "scenario_smoke": replay_scenario_smoke,
+}
+GOLDEN_FIG13 = GOLDEN_DIR / "fig13_inference_small.json"
 
 
 class TestValidateOnShippedPath:
@@ -746,37 +817,22 @@ class TestValidateOnShippedPath:
         # contexts do not occur here; TestRateKernel draws them).
         from repro.experiments.fig13_overall import run_inference
 
-        monkeypatch.setattr(engine_mod, "_rates_l2", {})
-        engine_init = SimEngine.__init__
-
-        def validating_init(self, *args, **kwargs):
-            kwargs["validate"] = True
-            engine_init(self, *args, **kwargs)
-
-        shapes = Counter()
-        compute_rates = SimEngine._compute_rates
-
-        def classified(self, rows):
-            shapes[rate_shape(self, rows)] += 1
-            return compute_rates(self, rows)
-
-        checks = []
-        validate_rates = SimEngine._validate_rates
-
-        def counted(self, applied):
-            checks.append(applied)
-            validate_rates(self, applied)
-
-        monkeypatch.setattr(SimEngine, "__init__", validating_init)
-        monkeypatch.setattr(SimEngine, "_compute_rates", classified)
-        monkeypatch.setattr(SimEngine, "_validate_rates", counted)
+        shapes, checks = validate_every_engine(monkeypatch)
         data = run_inference(requests=3, loads=("A",), jobs=1)
         assert json.dumps(data, sort_keys=True, indent=1) == GOLDEN_FIG13.read_text()
         assert {"fit", "water-fill", "levels"} <= set(shapes), shapes
         assert len(checks) > sum(shapes.values())
 
-
-GOLDEN_FIG13 = Path(__file__).parent / "golden" / "fig13_inference_small.json"
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_REPLAYS))
+    def test_golden_replays_with_every_engine_validated(self, monkeypatch, golden):
+        # The other goldens, served in-process (jobs=1) so every engine
+        # is patched: each rebalance of each cell, cluster GPU-epoch
+        # and zoo scenario checks the shipped rate kernel against the
+        # reference pipeline bit for bit.
+        shapes, checks = validate_every_engine(monkeypatch)
+        measured = json.loads(json.dumps(GOLDEN_REPLAYS[golden](), sort_keys=True))
+        assert measured == json.loads((GOLDEN_DIR / f"{golden}.json").read_text())
+        assert len(checks) > sum(shapes.values()) > 0
 
 
 def rate_shape(engine, rows):

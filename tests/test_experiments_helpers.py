@@ -8,7 +8,6 @@ from repro.experiments.common import (
     TRAINING_SYSTEMS,
     format_table,
     mean_latency_ms,
-    reduction_vs,
     serve_all,
 )
 from repro.experiments.squadlab import (
@@ -42,16 +41,6 @@ class TestCommon:
         result = ServingResult(system="X")
         result.add(RequestRecord("a", 0, 0.0, 5000.0))
         assert mean_latency_ms(result) == pytest.approx(5.0)
-
-    def test_reduction_vs(self):
-        def make(value):
-            result = ServingResult(system="X")
-            result.add(RequestRecord("a", 0, 0.0, value))
-            return result
-
-        results = {"BLESS": make(8000.0), "GSLICE": make(10000.0), "ISO": make(9000.0)}
-        reductions = reduction_vs(results, reference="ISO")
-        assert reductions == {"GSLICE": pytest.approx(0.2)}
 
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [["xxx", "y"]], title="T")

@@ -22,6 +22,7 @@ from repro.baselines.gslice import GSLICESystem
 from repro.baselines.iso import ISOSystem
 from repro.baselines.mig_system import MIGSystem
 from repro.core.config import DEFAULT_CONFIG
+from repro.gateway.slo import DEGRADE_FACTORS, MAX_BACKLOG
 from repro.core.runtime import BlessRuntime
 from repro.gateway import (
     BEST_EFFORT,
@@ -32,7 +33,7 @@ from repro.gateway import (
     check_slo_accounting,
     parse_slo_mix,
 )
-from repro.workloads.arrivals import ClosedLoop, Continuous
+from repro.workloads.arrivals import ClosedLoop, Continuous, TraceReplay
 from repro.workloads.suite import (
     WorkloadBinding,
     bind_load,
@@ -72,33 +73,25 @@ def fingerprint(result, semantic_only=False):
     )
 
 
-def lc_be_spec(apps, **kwargs):
+def lc_be_spec(apps):
     policies = {
         apps[0].app_id: SLOPolicy(slo_class=LATENCY_CRITICAL),
         apps[1].app_id: SLOPolicy(slo_class=BEST_EFFORT),
     }
-    return SLOSpec(policies=policies, **kwargs)
+    return SLOSpec(policies=policies)
 
 
 class TestSLOPolicy:
     def test_defaults(self):
         policy = SLOPolicy()
         assert policy.slo_class == BEST_EFFORT
-        assert policy.deadline_us is None
+        assert policy.deadline_factor == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SLOPolicy(slo_class="urgent")
         with pytest.raises(ValueError):
             SLOPolicy(deadline_factor=0.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(deadline_us=-1.0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SLOSpec(max_backlog=0)
-        with pytest.raises(ValueError):
-            SLOSpec(degrade_factors=(1.5,))
 
     def test_spec_class_lookup_falls_back(self):
         spec = SLOSpec(policies={"a": SLOPolicy(slo_class=LATENCY_CRITICAL)})
@@ -127,15 +120,16 @@ class TestParseSloMix:
 
 
 class TestAdmissionLadder:
-    def make_gateway(self, **spec_kwargs):
+    def make_gateway(self):
         apps = symmetric_pair("R50")
-        spec = lc_be_spec(apps, **spec_kwargs)
-        gateway = ServingGateway(spec, {a.app_id: a for a in apps})
+        gateway = ServingGateway(lc_be_spec(apps), {a.app_id: a for a in apps})
         return gateway, apps
 
     def test_clean_admit_below_backlog(self):
-        gateway, apps = self.make_gateway(max_backlog=2)
-        decision = gateway.admit(apps[0].app_id, backlog=0, now=0.0, request_id=1)
+        gateway, apps = self.make_gateway()
+        decision = gateway.admit(
+            apps[0].app_id, backlog=MAX_BACKLOG - 1, now=0.0, request_id=1
+        )
         assert decision.admitted and decision.rung == -1
         assert decision.deadline_us == pytest.approx(
             gateway.budget_us(apps[0].app_id)
@@ -143,22 +137,28 @@ class TestAdmissionLadder:
         assert decision.preempt  # latency-critical + preempt spec default
 
     def test_degrade_rungs_stretch_deadline(self):
-        gateway, apps = self.make_gateway(
-            max_backlog=1, degrade_factors=(0.5,)
-        )
+        gateway, apps = self.make_gateway()
         app_id = apps[0].app_id
         clean = gateway.admit(app_id, backlog=0, now=0.0, request_id=1)
-        degraded = gateway.admit(app_id, backlog=1, now=0.0, request_id=2)
-        assert degraded.admitted and degraded.rung == 0
-        assert degraded.deadline_us == pytest.approx(clean.deadline_us / 0.5)
-        assert gateway.counters[f"degraded_{LATENCY_CRITICAL}"] == 1.0
+        for rung, factor in enumerate(DEGRADE_FACTORS):
+            degraded = gateway.admit(
+                app_id, backlog=MAX_BACKLOG + rung, now=0.0, request_id=2 + rung
+            )
+            assert degraded.admitted and degraded.rung == rung
+            assert degraded.deadline_us == pytest.approx(
+                clean.deadline_us / factor
+            )
+        assert gateway.counters[f"degraded_{LATENCY_CRITICAL}"] == len(
+            DEGRADE_FACTORS
+        )
 
     def test_shed_past_last_rung(self):
-        gateway, apps = self.make_gateway(
-            max_backlog=1, degrade_factors=(0.5,)
-        )
+        gateway, apps = self.make_gateway()
         app_id = apps[0].app_id
-        shed = gateway.admit(app_id, backlog=2, now=0.0, request_id=3)
+        shed = gateway.admit(
+            app_id, backlog=MAX_BACKLOG + len(DEGRADE_FACTORS), now=0.0,
+            request_id=3,
+        )
         assert not shed.admitted and shed.deadline_us is None
         assert gateway.counters[f"shed_admission_{LATENCY_CRITICAL}"] == 1.0
         # A gate-shed request never entered, so the fault path finding
@@ -312,25 +312,26 @@ class TestServingWithGateway:
         assert stats[True] > stats[False]
 
     def test_admission_shed_at_gate_never_enters(self):
+        # Ten requests per app at t=0: the k-th arrives behind a
+        # backlog of k, so the ladder admits MAX_BACKLOG cleanly,
+        # degrades one per rung and sheds the rest at the gate.
         apps = symmetric_pair("R50")
-        spec = lc_be_spec(apps, max_backlog=1, degrade_factors=())
-        result = BlessRuntime(slo=spec).serve(
-            bind_load(apps, "A", requests=6)
-        )
+        burst = 10
+        bindings = [
+            WorkloadBinding(
+                app=app,
+                process_factory=partial(TraceReplay, times_us=[0.0] * burst),
+            )
+            for app in apps
+        ]
+        result = BlessRuntime(slo=lc_be_spec(apps)).serve(bindings)
         report = check_slo_accounting(result.extras)
-        total_shed = sum(r["shed_admission"] for r in report.values())
+        admitted = MAX_BACKLOG + len(DEGRADE_FACTORS)
+        for counts in report.values():
+            assert counts["shed_admission"] == burst - admitted
+            assert counts["completed"] == admitted
         # Shed requests are absent from the records (never served).
-        completed = sum(r["completed"] for r in report.values())
-        assert len(result.records) == completed
-        assert completed + total_shed == 12.0
-
-    def test_slo_aware_flag_default_is_byte_identical(self):
-        apps = symmetric_pair("R50")
-        base = BlessRuntime().serve(bind_load(apps, "A", requests=6))
-        flag_off = BlessRuntime(
-            config=dataclasses.replace(DEFAULT_CONFIG, slo_aware=False)
-        ).serve(bind_load(apps, "A", requests=6))
-        assert fingerprint(base) == fingerprint(flag_off)
+        assert len(result.records) == 2 * admitted
 
 
 class TestCompositeBaselinesWithGateway:

@@ -2,98 +2,77 @@
 
 import pytest
 
-from repro.gpusim.interference import InterferenceModel
+from repro.gpusim.interference import MAX_SLOWDOWN, slowdowns
+
+
+def pair_slowdown(m_self, m_other, restricted=False):
+    """Slowdown of the first of two co-running kernels (Fig. 9(a))."""
+    return slowdowns([(m_self, restricted), (m_other, restricted)])[0]
 
 
 class TestValidation:
-    def test_kappa_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            InterferenceModel(kappa_unrestricted=0.1, kappa_restricted=0.5)
-
-    def test_max_slowdown_floor(self):
-        with pytest.raises(ValueError):
-            InterferenceModel(max_slowdown=0.5)
-
-    def test_gamma_positive(self):
-        with pytest.raises(ValueError):
-            InterferenceModel(gamma=0.0)
-
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
-            InterferenceModel().slowdowns([(-0.1, False)])
+            slowdowns([(-0.1, False)])
 
 
 class TestSoloExecution:
     def test_solo_kernel_unaffected(self):
-        model = InterferenceModel()
-        assert model.slowdowns([(0.9, False)]) == [pytest.approx(1.0)]
-
-    def test_solo_slowdown_helper(self):
-        assert InterferenceModel().solo_slowdown(1.0) == 1.0
+        assert slowdowns([(0.9, False)]) == [pytest.approx(1.0)]
 
 
 class TestFig9Anchors:
     def test_extreme_pair_capped_at_two(self):
         """Fig. 9(a): slowdown <= 2x even vs a memory hog."""
-        model = InterferenceModel()
-        slowdown = model.pair_slowdown(1.0, 1.0)
-        assert slowdown == pytest.approx(model.max_slowdown)
+        slowdown = pair_slowdown(1.0, 1.0)
+        assert slowdown == pytest.approx(MAX_SLOWDOWN)
         assert slowdown <= 2.0
 
     def test_moderate_restricted_pair_near_seven_percent(self):
         """Fig. 9(b): typical app kernels on MPS partitions ~7%."""
-        model = InterferenceModel()
-        slowdown = model.pair_slowdown(0.5, 0.5, restricted=True)
+        slowdown = pair_slowdown(0.5, 0.5, restricted=True)
         assert 1.03 < slowdown < 1.12
 
     def test_slowdown_monotone_in_pressure(self):
-        model = InterferenceModel()
-        values = [model.pair_slowdown(0.8, p) for p in (0.1, 0.3, 0.5, 0.8, 1.0)]
+        values = [pair_slowdown(0.8, p) for p in (0.1, 0.3, 0.5, 0.8, 1.0)]
         assert values == sorted(values)
 
     def test_slowdown_monotone_in_own_intensity(self):
-        model = InterferenceModel()
-        values = [model.pair_slowdown(m, 0.8) for m in (0.1, 0.3, 0.5, 0.8)]
+        values = [pair_slowdown(m, 0.8) for m in (0.1, 0.3, 0.5, 0.8)]
         assert values == sorted(values)
 
 
 class TestPartitionAwareness:
     def test_restricted_cheaper_than_scattered(self):
-        model = InterferenceModel()
-        scattered = model.pair_slowdown(0.5, 0.5, restricted=False)
-        pinned = model.pair_slowdown(0.5, 0.5, restricted=True)
+        scattered = pair_slowdown(0.5, 0.5, restricted=False)
+        pinned = pair_slowdown(0.5, 0.5, restricted=True)
         assert pinned < scattered
 
     def test_single_scattered_kernel_counts_as_restricted(self):
         """One unrestricted kernel next to a pinned one fills the
         complement — it must not pay the scattered coupling."""
-        model = InterferenceModel()
-        values = model.slowdowns([(0.5, False), (0.5, True)])
-        pinned_pair = model.slowdowns([(0.5, True), (0.5, True)])
+        values = slowdowns([(0.5, False), (0.5, True)])
+        pinned_pair = slowdowns([(0.5, True), (0.5, True)])
         assert values[0] == pytest.approx(pinned_pair[0])
 
     def test_two_scattered_kernels_pay_full_coupling(self):
-        model = InterferenceModel()
-        scattered = model.slowdowns([(0.5, False), (0.5, False)])
-        pinned = model.slowdowns([(0.5, True), (0.5, True)])
+        scattered = slowdowns([(0.5, False), (0.5, False)])
+        pinned = slowdowns([(0.5, True), (0.5, True)])
         assert scattered[0] > pinned[0]
 
     def test_restricted_kernel_never_pays_scattered_rate(self):
-        model = InterferenceModel()
-        mixed = model.slowdowns([(0.5, True), (0.5, False), (0.5, False)])
+        mixed = slowdowns([(0.5, True), (0.5, False), (0.5, False)])
         assert mixed[0] < mixed[1]
 
 
 class TestBounds:
     def test_all_slowdowns_at_least_one(self):
-        model = InterferenceModel()
         for values in (
-            model.slowdowns([(0.0, False), (1.0, False)]),
-            model.slowdowns([(1.0, True)] * 5),
+            slowdowns([(0.0, False), (1.0, False)]),
+            slowdowns([(1.0, True)] * 5),
         ):
             assert all(v >= 1.0 for v in values)
 
     def test_all_slowdowns_capped(self):
-        model = InterferenceModel()
-        values = model.slowdowns([(1.0, False)] * 8)
-        assert all(v <= model.max_slowdown for v in values)
+        values = slowdowns([(1.0, False)] * 8)
+        assert all(v <= MAX_SLOWDOWN for v in values)

@@ -91,7 +91,6 @@ class TestDecisionTable:
             num_partitions=partitions,
             nsp_predictor=nsp_predictor,
             semi_sp_mode=semi_sp_mode,
-            max_enumerated_configs=max_enumerated,
         )
         profiler = OfflineProfiler(config=config)
         apps = [build_app(f"app{i}", spec) for i, spec in enumerate(specs)]
@@ -103,10 +102,16 @@ class TestDecisionTable:
         squad = squad_of(pairs)
         profiles = {app.app_id: profiler.profile(app) for app in apps}
 
-        ExecutionConfigDeterminer(config).determine(squad, profiles)  # warm
-        warm = table_only(ExecutionConfigDeterminer(config))
-        got = warm.determine(squad, profiles)
-        fresh = ExecutionConfigDeterminer(config)._determine_uncached(squad, profiles)
+        with pytest.MonkeyPatch.context() as patch:
+            # The table key does not carry the cap, so start it empty.
+            patch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", max_enumerated)
+            patch.setattr(configurator, "_DECISIONS", {})
+            ExecutionConfigDeterminer(config).determine(squad, profiles)  # warm
+            warm = table_only(ExecutionConfigDeterminer(config))
+            got = warm.determine(squad, profiles)
+            fresh = ExecutionConfigDeterminer(config)._determine_uncached(
+                squad, profiles
+            )
 
         assert got == fresh
         assert got.predicted_duration_us == fresh.predicted_duration_us
@@ -125,11 +130,11 @@ class TestDecisionTable:
         ],
     )
     def test_each_search_branch_served_from_table(
-        self, max_enumerated, partitions, small_kernels, expect
+        self, monkeypatch, max_enumerated, partitions, small_kernels, expect
     ):
-        config = BlessConfig(
-            num_partitions=partitions, max_enumerated_configs=max_enumerated
-        )
+        monkeypatch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", max_enumerated)
+        monkeypatch.setattr(configurator, "_DECISIONS", {})
+        config = BlessConfig(num_partitions=partitions)
         big = build_app("big", [(400.0, 1.0, 0.0)] * 6)
         small = build_app("small", small_kernels)
         squad = squad_of([(big, range(6)), (small, range(len(small_kernels)))])

@@ -12,7 +12,7 @@ from repro.core.progress import RequestProgress
 from repro.core.squad import generate_squad
 from repro.gpusim.device import MemoryPool
 from repro.gpusim.hwsched import waterfill
-from repro.gpusim.interference import InterferenceModel
+from repro.gpusim.interference import MAX_SLOWDOWN, slowdowns
 from repro.gpusim.kernel import KernelSpec
 
 from .config_oracle import compositions
@@ -90,17 +90,15 @@ class TestInterferenceProperties:
         )
     )
     def test_slowdowns_bounded(self, kernels):
-        model = InterferenceModel()
-        values = model.slowdowns(kernels)
+        values = slowdowns(kernels)
         assert len(values) == len(kernels)
         for v in values:
-            assert 1.0 <= v <= model.max_slowdown + 1e-12
+            assert 1.0 <= v <= MAX_SLOWDOWN + 1e-12
 
     @given(m=intensities, other=intensities)
     def test_restricted_never_worse_than_scattered(self, m, other):
-        model = InterferenceModel()
-        scattered = model.slowdowns([(m, False), (other, False)])[0]
-        pinned = model.slowdowns([(m, True), (other, True)])[0]
+        scattered = slowdowns([(m, False), (other, False)])[0]
+        pinned = slowdowns([(m, True), (other, True)])[0]
         assert pinned <= scattered + 1e-12
 
 

@@ -25,7 +25,6 @@ from repro.scenarios import (
     expand_sweep,
     from_dict,
     list_zoo,
-    load_plugins,
     load_zoo,
     register,
     resolve_scenario,
@@ -158,18 +157,6 @@ class TestRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown component kind"):
             register("flavors", "vanilla", lambda: None)
-
-    def test_plugins_load_from_env(self, registry_snapshot, tmp_path,
-                                   monkeypatch):
-        module = tmp_path / "zoo_plugin_mod.py"
-        module.write_text(
-            "from repro.scenarios import register\n"
-            "register('faults', 'plugin_noop', lambda: None)\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("REPRO_SCENARIO_PLUGINS", "zoo_plugin_mod")
-        assert load_plugins() == ["zoo_plugin_mod"]
-        assert "plugin_noop" in REGISTRY.names("faults")
 
 
 class TestSweepExpansion:

@@ -38,16 +38,10 @@ def reference_generate_squad(progresses, now, config):
         if not available:
             break
         if config.use_multitask_scheduler:
-            if config.slo_aware:
-                def key(p):
-                    entry = squad.entries.get(p.request.app.app_id)
-                    in_squad = entry.count if entry is not None else 0
-                    return (p.slo_urgency(now), -in_squad / p.request.app.quota)
-            else:
-                def key(p):
-                    entry = squad.entries.get(p.request.app.app_id)
-                    in_squad = entry.count if entry is not None else 0
-                    return (p.urgency(now), -in_squad / p.request.app.quota)
+            def key(p):
+                entry = squad.entries.get(p.request.app.app_id)
+                in_squad = entry.count if entry is not None else 0
+                return (p.urgency(now), -in_squad / p.request.app.quota)
 
             chosen = max(available, key=key)
         else:
@@ -87,7 +81,7 @@ def _profile(model, graph_size):
 
 def _progress(spec, app_id, config):
     """A fresh RequestProgress from one drawn app description."""
-    model, quota, arrival, start, t_ref_factor, slo_class, deadline, graphs = spec
+    model, quota, arrival, start, t_ref_factor, graphs = spec
     app = _base_app(model, graphs).with_quota(quota, app_id=app_id)
     profile = _profile(model, graphs)
     partition = config.nearest_partition(quota)
@@ -99,8 +93,6 @@ def _progress(spec, app_id, config):
         profile=profile,
         partition=partition,
         t_ref_us=t_ref,
-        slo_class=slo_class,
-        slo_deadline_us=None if deadline is None else arrival + deadline * t_ref,
     )
 
 
@@ -128,8 +120,6 @@ app_specs = st.tuples(
     st.floats(min_value=0.0, max_value=30_000.0),              # arrival
     st.floats(min_value=0.0, max_value=1.0),                   # start fraction
     st.sampled_from([1.0, 0.5, 2.0, 3.5]),                     # T_ref factor
-    st.sampled_from([None, "latency_critical", "best_effort"]),
-    st.one_of(st.none(), st.floats(min_value=0.1, max_value=4.0)),
     st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
 )
 
@@ -140,18 +130,15 @@ class TestMatchesReference:
         specs=st.lists(app_specs, min_size=1, max_size=6),
         now_offset=st.floats(min_value=0.0, max_value=60_000.0),
         cap=st.integers(min_value=1, max_value=80),
-        slo_aware=st.booleans(),
         multitask=st.booleans(),
         solo_fraction=st.floats(min_value=0.05, max_value=1.0),
         solo_budget=st.floats(min_value=10.0, max_value=5_000.0),
     )
     def test_identical_squads(
-        self, specs, now_offset, cap, slo_aware, multitask, solo_fraction,
-        solo_budget,
+        self, specs, now_offset, cap, multitask, solo_fraction, solo_budget,
     ):
         config = BlessConfig(
             max_kernels_per_squad=cap,
-            slo_aware=slo_aware,
             use_multitask_scheduler=multitask,
             solo_squad_fraction=solo_fraction,
             solo_squad_budget_us=solo_budget,
@@ -163,7 +150,7 @@ class TestMatchesReference:
     def test_exact_tie_interleaves(self):
         # Identical apps arriving at the same instant tie on urgency;
         # the quota-share tie-break alternates them, first app first.
-        spec = ("R50", 0.5, 0.0, 0.0, 1.0, None, None, None)
+        spec = ("R50", 0.5, 0.0, 0.0, 1.0, None)
         config = BlessConfig(max_kernels_per_squad=10)
         reference, incremental = _compose_both([spec, spec], 10.0, config)
         assert incremental == reference
@@ -179,15 +166,15 @@ class TestMatchesReference:
             max_kernels_per_squad=40, solo_squad_fraction=0.5,
             solo_squad_budget_us=200.0,
         )
-        spec = ("BERT", 1.0, 0.0, 0.0, 1.0, None, None, None)
+        spec = ("BERT", 1.0, 0.0, 0.0, 1.0, None)
         reference, incremental = _compose_both([spec], 500.0, config)
         assert incremental == reference
         assert 0 < len(incremental[0][0][2]) < 20
 
     def test_graphs_and_round_robin(self):
         specs = [
-            ("NAS", 0.3, 0.0, 0.2, 1.0, None, None, 4),
-            ("VGG", 0.7, 100.0, 0.0, 1.0, None, None, None),
+            ("NAS", 0.3, 0.0, 0.2, 1.0, 4),
+            ("VGG", 0.7, 100.0, 0.0, 1.0, None),
         ]
         for multitask in (True, False):
             config = BlessConfig(use_multitask_scheduler=multitask)
@@ -207,7 +194,7 @@ def test_urgency_evaluations_linear(monkeypatch):
     monkeypatch.setattr(RequestProgress, "urgency", counting)
     config = BlessConfig()
     specs = [
-        (model, 0.25, 0.0, 0.0, 1.0, None, None, None)
+        (model, 0.25, 0.0, 0.0, 1.0, None)
         for model in ("R50", "R101", "NAS", "BERT")
     ]
     progresses = [_progress(spec, f"app{i}", config) for i, spec in enumerate(specs)]

@@ -568,6 +568,11 @@ def cmd_profile(args) -> int:
     maker = training_app if args.training else inference_app
     app = maker(args.model)
     profile = OfflineProfiler().profile(app)
+    n = profile.num_partitions
+    bad = [p for p in args.partitions if not 1 <= p <= n]
+    if bad:
+        print(f"--partitions must lie in [1, {n}]; got {bad[0]}")
+        return 2
     print(f"{app.name}: {app.num_compute_kernels} compute kernels, "
           f"{app.memory_mb} MB, solo {app.solo_span_us / 1000:.2f} ms "
           f"(GPU busy {app.total_compute_us / app.solo_span_us:.0%})")
@@ -575,7 +580,7 @@ def cmd_profile(args) -> int:
           f"({profile.num_partitions} partitioned runs)")
     print(f"\n{'partition':>9s} {'SMs':>5s} {'T[n%] (ms)':>11s}")
     for partition in args.partitions:
-        sms = round(partition / profile.num_partitions * 108)
+        sms = round(partition / n * 108)
         print(f"{partition:9d} {sms:5d} {profile.iso_latency(partition) / 1000:11.2f}")
     return 0
 

@@ -15,7 +15,7 @@ the contention-aware GPU partitioning line of work (PAPERS.md):
 
 * :class:`InterferenceEstimator` — Eq. 2 joint-duration estimates over
   an application group's full kernel windows, memoized on **profile
-  signatures** (``(model, calibration version, kernel count)``) so a
+  signatures** (``(model, kernel count, profile digest)``) so a
   64-GPU sweep re-scores thousands of candidate groups against a
   handful of distinct model combinations;
 * :class:`PlacementCostModel` — scores one GPU's co-resident group as
@@ -41,7 +41,6 @@ from ..apps.application import Application, Request
 from ..core.predictors import workload_equivalence_estimate
 from ..core.profiler import OfflineProfiler
 from ..core.squad import KernelSquad
-from ..gpusim.device import GPUSpec
 
 #: SLO-class weights of the cost model: a latency-critical
 #: app's predicted slowdown counts this much more than a best-effort
@@ -80,26 +79,22 @@ class InterferenceEstimator:
     interference the placement cost model minimizes.
 
     Estimates are memoized on the group's sorted **profile signatures**
-    — ``(model name, calibration version, kernel count, profile
-    digest)`` per member, the digest telling same-named traces apart —
-    so groups of the same models (regardless of app_id or quota, which
-    Eq. 2 does not read) share one computation.  The profiler's
-    ``recalibrate()`` bumps the version, invalidating stale entries by
-    construction.
+    — ``(model name, kernel count, profile digest)`` per member, the
+    digest telling same-named traces apart — so groups of the same
+    models (regardless of app_id or quota, which Eq. 2 does not read)
+    share one computation.
     """
 
-    def __init__(self, gpu_spec: Optional[GPUSpec] = None):
-        self.profiler = OfflineProfiler(gpu_spec=gpu_spec)
+    def __init__(self):
+        self.profiler = OfflineProfiler()
         self._joint_cache: Dict[Hashable, float] = {}
         self.hits = 0
         self.misses = 0
 
-    def profile_signature(self, app: Application) -> Tuple[str, int, int, str]:
+    def profile_signature(self, app: Application) -> Tuple[str, int, str]:
         """The memoization term one application contributes."""
         profile = self.profiler.profile(app)
-        return (
-            profile.app_name, profile.version, profile.num_kernels, profile.digest
-        )
+        return (profile.app_name, profile.num_kernels, profile.digest)
 
     def joint_us(self, group: Sequence[Application]) -> float:
         """Eq. 2 estimate of one full request-wave of ``group``."""
@@ -185,8 +180,8 @@ class PlacementCostModel:
     concrete.
     """
 
-    def __init__(self, slo=None, gpu_spec: Optional[GPUSpec] = None):
-        self.estimator = InterferenceEstimator(gpu_spec=gpu_spec)
+    def __init__(self, slo=None):
+        self.estimator = InterferenceEstimator()
         self.slo = slo
 
     def weight(self, app: Application) -> float:

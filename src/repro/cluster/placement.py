@@ -88,10 +88,6 @@ class GPUSlot:
         contexts = 2 * len(self.apps) * self.spec.mps_context_mb
         return sum(app.memory_mb for app in self.apps) + contexts
 
-    @property
-    def memory_free_mb(self) -> int:
-        return self.spec.memory_mb - self.memory_used_mb
-
     def fits(self, app: Application) -> bool:
         """Would ``app`` be admitted alongside this GPU's current apps?"""
         return group_feasible(self.apps, app, self.spec)
@@ -119,7 +115,7 @@ class ClusterPlacer:
         self.slots = [GPUSlot(index=i, spec=spec) for i in range(num_gpus)]
         self.cost_model: Optional[PlacementCostModel] = None
         if policy is PlacementPolicy.CONTENTION_AWARE:
-            self.cost_model = PlacementCostModel(gpu_spec=spec, slo=slo)
+            self.cost_model = PlacementCostModel(slo=slo)
 
     @property
     def gpu_spec(self) -> GPUSpec:

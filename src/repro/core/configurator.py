@@ -25,22 +25,20 @@ moves).
 
 Search cost (the §6.9 decision-latency budget):
 
-* **memoization** — decisions are cached in an LRU keyed by the squad's
-  signature (:meth:`KernelSquad.signature`); consecutive squads from
-  the same request mix are near-identical, so steady-state serving hits
-  the cache almost always (``repro.core.config_cache``).  The LRU and
-  its hit/miss counts belong to one determiner, i.e. one run;
-* **decide once per process** — an LRU miss consults a module-level
-  decision table before searching.  It is keyed on the squad in
-  *insertion* order, one ``(id(profile), kernel window)`` pair per
-  entry, plus the search knobs.  Profiles come from the process-wide
-  profile table (``repro.core.profiler``), so the same app mix in a
-  later run — the next GPU-epoch of an online cluster — finds its
-  decisions there.  Each entry pins its profiles, so an ``id`` is
-  never reused while the entry lives.  Eq. 2 sums in insertion order,
-  so keying on that order (not the LRU's sorted one) makes a table
-  hit return exactly what a fresh search would: the same prediction
-  to the last bit, and the same ``config.chosen`` trace record;
+* **memoization** — every decision is answered from a module-level
+  decision table and searched only when that table misses.  The key is
+  the squad in *insertion* order, one ``(id(profile), kernel window)``
+  pair per entry, plus the search knobs.  Profiles come from the
+  process-wide profile table (``repro.core.profiler``), so the same
+  app mix in a later run — the next GPU-epoch of an online cluster —
+  finds its decisions there.  Each entry pins its profiles, so an
+  ``id`` is never reused while the entry lives.  Eq. 2 sums in
+  insertion order, so keying on that order makes a table hit return
+  exactly what a fresh search would: the same prediction to the last
+  bit.  Each determiner also counts its run's repeat squads in a
+  bounded LRU of squad signatures (``repro.core.config_cache``), which
+  stores no decision: its hits and misses are the run's
+  ``config_cache_*`` results and select the ``config.chosen`` record;
 * **vectorization** — a miss builds one ``(K, N)`` Eq. 1 stack-cost
   matrix plus an ``(n_configs, K)`` composition matrix and reduces them
   in bulk with numpy.
@@ -59,7 +57,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .config import BlessConfig
-from .config_cache import CachedDecision, ExecutionConfigCache
+from .config_cache import ExecutionConfigCache
 from .predictors import (
     concurrent_wave_estimate,
     interference_free_estimate,
@@ -138,39 +136,55 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Decided:
-    """A fresh search's outcome for the process-wide decision table.
+    """A fresh search's outcome, as the decision table stores it.
 
-    ``decision`` is positional in squad insertion order; ``profiles``
+    ``split`` / ``rear_counts`` hold per-app values in squad insertion
+    order (``split`` is None for the unrestricted plan); ``profiles``
     pins the profiles whose ids the table key holds; ``candidates``,
     ``nsp_us`` and ``sp_us`` are the ``config.chosen`` fields of a
     cache-miss decision.
     """
 
     profiles: Tuple[AppProfile, ...]
-    decision: CachedDecision
+    split: Optional[Tuple[int, ...]]
+    predicted_duration_us: float
+    rear_counts: Optional[Tuple[int, ...]]
     candidates: int
     nsp_us: float
     sp_us: Optional[float]
+
+    def rebuild(self, app_ids: List[str]) -> ExecutionConfig:
+        """The decision as an ``ExecutionConfig`` for a squad whose
+        apps, in insertion order, are ``app_ids``."""
+        partitions = rears = None
+        if self.split is not None:
+            partitions = dict(zip(app_ids, self.split))
+        if self.rear_counts is not None:
+            rears = dict(zip(app_ids, self.rear_counts))
+        return ExecutionConfig(
+            partitions=partitions,
+            predicted_duration_us=self.predicted_duration_us,
+            rear_counts=rears,
+        )
 
 
 # Cap on exhaustively enumerated SP configurations; above this the
 # determiner falls back to proportional-split + local search.
 MAX_ENUMERATED_CONFIGS = 4096
 
-# Capacity of each determiner's decision LRU, keyed by squad signature
-# (quota mix, kernel windows, K, N): repeat squads cost one dict lookup
-# instead of a full search.  Invalidated on profile recalibration.
+# Capacity of each determiner's signature LRU, whose hits and misses
+# are the run's ``config_cache_*`` counts.
 CONFIG_CACHE_SIZE = 1024
 
-# Process-wide decision table behind every determiner's per-run LRU
-# (module docstring); swept wholesale when it fills.
+# Process-wide decision table (module docstring); swept wholesale when
+# it fills.
 _DECISIONS_SIZE = 4096
 _DECISIONS: Dict[tuple, _Decided] = {}
 
 
 class ExecutionConfigDeterminer:
     """Searches the configuration space with the two estimators,
-    memoizing decisions in an LRU of ``CONFIG_CACHE_SIZE`` entries."""
+    answering repeat squads from the process-wide decision table."""
 
     def __init__(self, config: BlessConfig):
         self.config = config
@@ -179,17 +193,10 @@ class ExecutionConfigDeterminer:
         # ``config.chosen`` events are emitted only when attached.
         self.trace = None
 
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
     @property
     def cache_stats(self):
-        """Hit/miss counters of the decision cache."""
+        """Hit/miss counters of the signature LRU."""
         return self.cache.stats
-
-    def invalidate_cache(self) -> None:
-        """Drop memoized decisions — call after profile recalibration."""
-        self.cache.invalidate()
 
     # ------------------------------------------------------------------
     def _nsp_estimate(
@@ -209,30 +216,17 @@ class ExecutionConfigDeterminer:
         Compares the unrestricted plan (scored with Eq. 2,
         workload equivalence) against every strict spatial split
         (each scored with Eq. 1, the max per-request stack) and
-        returns the argmin as an :class:`ExecutionConfig`.  Decisions
-        are memoized by :meth:`KernelSquad.signature`; a cache hit
-        skips the search entirely (§6.9's decision-latency budget).
-        A cache miss first looks in the process-wide decision table
-        and searches only if that misses too; either way it counts and
-        traces as a miss, exactly as a fresh search would.
+        returns the argmin as an :class:`ExecutionConfig`.  The answer
+        comes from the process-wide decision table, which searches only
+        on a table miss.  The run's signature LRU counts the lookup
+        (:meth:`KernelSquad.signature`): a hit traces as a
+        ``cache_hit=True`` record, a miss as a fresh search's record.
         """
         if not squad.app_ids:
             raise ValueError("cannot configure an empty squad")
-        key, canonical_order = squad.signature(profiles, self.config)
-        hit = self.cache.get(key)
-        if hit is not None:
-            chosen = hit.rebuild(canonical_order)
-            if self.trace is not None:
-                self.trace.emit(
-                    "config.chosen",
-                    cache_hit=True,
-                    apps=len(squad.app_ids),
-                    predicted_us=chosen.predicted_duration_us,
-                    is_spatial=chosen.is_spatial,
-                )
-            return chosen
-        app_ids = squad.app_ids
         config = self.config
+        hit = self.cache.lookup(squad.signature(profiles, config))
+        app_ids = squad.app_ids
         table_key = (
             tuple(
                 (id(profiles[app_id]), tuple(entry.kernel_indices))
@@ -244,22 +238,39 @@ class ExecutionConfigDeterminer:
         )
         decided = _DECISIONS.get(table_key)
         if decided is None:
-            chosen, candidates, nsp_us, sp_us = self._search(squad, profiles)
+            searched, candidates, nsp_us, sp_us = self._search(squad, profiles)
+            split = rears = None
+            if searched.partitions is not None:
+                split = tuple(searched.partitions[a] for a in app_ids)
+            if searched.rear_counts is not None:
+                rears = tuple(searched.rear_counts[a] for a in app_ids)
             if len(_DECISIONS) >= _DECISIONS_SIZE:
                 _DECISIONS.clear()
-            _DECISIONS[table_key] = _Decided(
+            decided = _DECISIONS[table_key] = _Decided(
                 profiles=tuple(profiles[app_id] for app_id in app_ids),
-                decision=CachedDecision.from_config(chosen, app_ids),
+                split=split,
+                predicted_duration_us=searched.predicted_duration_us,
+                rear_counts=rears,
                 candidates=candidates,
                 nsp_us=nsp_us,
                 sp_us=sp_us,
             )
+        chosen = decided.rebuild(app_ids)
+        if self.trace is None:
+            return chosen
+        if hit:
+            self.trace.emit(
+                "config.chosen",
+                cache_hit=True,
+                apps=len(app_ids),
+                predicted_us=chosen.predicted_duration_us,
+                is_spatial=chosen.is_spatial,
+            )
         else:
-            chosen = decided.decision.rebuild(app_ids)
-            candidates = decided.candidates
-            nsp_us, sp_us = decided.nsp_us, decided.sp_us
-        self._emit_chosen(chosen, len(app_ids), candidates, nsp_us, sp_us)
-        self.cache.put(key, CachedDecision.from_config(chosen, canonical_order))
+            self._emit_chosen(
+                chosen, len(app_ids), decided.candidates, decided.nsp_us,
+                decided.sp_us,
+            )
         return chosen
 
     def _determine_uncached(

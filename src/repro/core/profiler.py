@@ -15,16 +15,17 @@ the analytic profile matches an actual simulated solo run.
 
 Profiling happens once per process, as the paper profiles once per
 deployment: a module-level table maps an app's *content* — its name,
-kernel trace, memory footprint, the partition grid and the profiler's
-calibration ``version`` — to its :class:`AppProfile`, and
-:meth:`OfflineProfiler.profile` computes a profile only when that table
-misses.  The key is the kernel trace, not the name, because rescaled
-(Fig. 19(c)) and graph-granular (§6.10) copies keep the name while
-changing the kernels.  Every profiler, and so every per-GPU runtime of a
-cluster run, shares the table; ``recalibrate()`` advances ``version``
-and therefore still yields fresh profile objects.  Each profile also
-carries a ``digest`` of its tables, which the squad signature and the
-cluster interference memo use to tell same-named apps apart.
+kernel trace, memory footprint and the partition grid — to its
+:class:`AppProfile`, and :meth:`OfflineProfiler.profile` computes a
+profile only when that table misses.  The key is the kernel trace, not
+the name, because rescaled (Fig. 19(c)) and graph-granular (§6.10)
+copies keep the name while changing the kernels.  Profiles are
+analytic, so profiling a trace again would give the same tables: every
+profiler, and so every per-GPU runtime of a cluster run, shares the
+table.  A second, identity-keyed index in front of it spares hashing a
+trace that was seen before.  Each profile also carries a ``digest`` of
+its tables, which the squad signature and the cluster interference
+memo use to tell same-named apps apart.
 """
 
 from __future__ import annotations
@@ -61,17 +62,6 @@ class AppProfile:
     memory_mb: int
     # Simulated profiling cost (one full run + N partitioned runs).
     profiling_cost_us: float = 0.0
-    # Calibration token: bumped by OfflineProfiler.recalibrate().  The
-    # squad-signature cache embeds it, so decisions memoized against an
-    # older calibration become unreachable the moment the profile is
-    # re-measured (repro.core.config_cache).
-    version: int = 0
-    # Python-float copies of the tables the squad generator reads per
-    # kernel (a list index is several times cheaper than a numpy scalar
-    # read).  Built once below; the arrays are frozen so they can never
-    # go stale.
-    _elapsed_rows: List[List[float]] = field(init=False, repr=False, compare=False)
-    _step_cost_rows: List[List[float]] = field(init=False, repr=False, compare=False)
     # Content digest of the tables the estimators read.  Two profiles
     # with equal digests make every decision alike, so memo keys carry
     # it next to ``app_name`` to tell same-named apps apart.
@@ -83,11 +73,11 @@ class AppProfile:
         )
         hasher = hashlib.blake2b(digest_size=16)
         for array in tables:
+            # Frozen: the process-wide table shares this profile with
+            # every later run, and the digest must keep describing it.
             array.setflags(write=False)
             hasher.update(np.ascontiguousarray(array, dtype=float).tobytes())
         self.digest = hasher.hexdigest()
-        self._elapsed_rows = self.elapsed.tolist()
-        self._step_cost_rows = (self.durations + self.gaps).tolist()
 
     @property
     def num_kernels(self) -> int:
@@ -100,25 +90,15 @@ class AppProfile:
     def step_cost(self, partition: int, kernel: int) -> float:
         """Kernel duration plus its preceding dispatch gap — the time
         the kernel occupies on its request's critical path."""
-        return self._step_cost_rows[partition - 1][kernel]
+        return float(self.durations[partition - 1, kernel] + self.gaps[kernel])
 
     def tau(self, partition: int, kernel: int) -> float:
         """``tau[n%][k]`` with ``partition`` 1-based."""
-        return self._elapsed_rows[partition - 1][kernel]
+        return float(self.elapsed[partition - 1, kernel])
 
     def iso_latency(self, partition: int) -> float:
         """``T[n%]`` — isolated latency at a partition size."""
-        return self._elapsed_rows[partition - 1][-1]
-
-    def stack_duration(self, partition: int, start: int, end: int) -> float:
-        """Critical-path time of kernels ``[start, end)`` in one queue
-        (Eq. 1 term): durations plus the dispatch gaps between them."""
-        if start >= end:
-            return 0.0
-        return float(
-            self.durations[partition - 1, start:end].sum()
-            + self.gaps[start:end].sum()
-        )
+        return float(self.elapsed[partition - 1, -1])
 
     def duration_at_fraction(self, fraction: float, kernel: int) -> float:
         """Duration at an arbitrary SM fraction, interpolated over the
@@ -165,68 +145,43 @@ class AppProfile:
         return float(self.durations[-1].mean())
 
 
-# (app name, kernel trace, memory MB, partitions, version) -> profile.
+# (app name, kernel trace, memory MB, partitions) -> profile.
 # KernelSpec is frozen, so the trace tuple hashes by value; the profile
 # computation reads no GPUSpec field, so the spec stays out of the key.
 _PROFILES: Dict[tuple, AppProfile] = {}
+
+# Identity index into _PROFILES: (id of the kernel list, app name,
+# memory MB, partitions) -> (that list, its profile).  The list is
+# pinned in the entry, so its id is never reused and a different trace
+# always misses; a hit skips hashing the trace.
+_BY_IDENTITY: Dict[Tuple[int, str, int, int], Tuple[list, AppProfile]] = {}
 
 
 class OfflineProfiler:
     """Profiles applications at deployment time (§4.2.1)."""
 
-    def __init__(
-        self,
-        config: BlessConfig = DEFAULT_CONFIG,
-        gpu_spec: Optional[GPUSpec] = None,
-    ):
+    def __init__(self, config: BlessConfig = DEFAULT_CONFIG):
         self.config = config
-        self.gpu_spec = gpu_spec or GPUSpec()
-        # Fast path in front of the process-wide table: (name, memory
-        # MB, id of the kernel list) -> (that list, its profile).  The
-        # list is pinned in the entry, so its id is never reused and a
-        # different trace under the same name misses.
-        self._cache: Dict[Tuple[str, int, int], Tuple[list, AppProfile]] = {}
-        # Bumped on recalibration; stamped into every profile produced
-        # afterwards so downstream memoization keys change with it.
-        self.version = 0
-
-    def recalibrate(self, app_name: Optional[str] = None) -> int:
-        """Drop measured profiles and advance the calibration token.
-
-        ``app_name`` limits the re-measurement to one application;
-        either way the token advances, so every squad-signature built
-        from profiles produced after this call differs from the ones
-        built before.  Callers holding an execution-config cache should
-        also call its ``invalidate()`` hook to free stale entries
-        eagerly (``BlessRuntime.recalibrate_profiles`` does both).
-        """
-        if app_name is None:
-            self._cache.clear()
-        else:
-            for key in [key for key in self._cache if key[0] == app_name]:
-                del self._cache[key]
-        self.version += 1
-        return self.version
 
     def profile(self, app: Application) -> AppProfile:
         """Profile ``app`` at every partition size.
 
-        Computed once per process for each distinct kernel trace and
-        calibration ``version`` (the module-level table); this
-        profiler's own entries only skip hashing the trace again.
+        Computed once per process for each distinct kernel trace (the
+        module-level table); a kernel list seen before is found by
+        identity without hashing the trace again.
         """
         kernels = app.kernels
-        fast_key = (app.name, app.memory_mb, id(kernels))
-        cached = self._cache.get(fast_key)
-        if cached is not None and cached[0] is kernels:
-            return cached[1]
         n = self.config.num_partitions
-        key = (app.name, tuple(kernels), app.memory_mb, n, self.version)
+        fast_key = (id(kernels), app.name, app.memory_mb, n)
+        cached = _BY_IDENTITY.get(fast_key)
+        if cached is not None:
+            return cached[1]
+        key = (app.name, tuple(kernels), app.memory_mb, n)
         profile = _PROFILES.get(key)
         if profile is None:
             profile = self._compute(app, n)
             _PROFILES[key] = profile
-        self._cache[fast_key] = (kernels, profile)
+        _BY_IDENTITY[fast_key] = (kernels, profile)
         return profile
 
     def _compute(self, app: Application, n: int) -> AppProfile:
@@ -253,7 +208,6 @@ class OfflineProfiler:
             mem_intensity=intensity,
             memory_mb=app.memory_mb,
             profiling_cost_us=cost,
-            version=self.version,
         )
 
 

@@ -98,9 +98,8 @@ class BlessRuntime(SharingSystem):
             slo=slo,
         )
         self.config = config
-        self.profiler = OfflineProfiler(config=config, gpu_spec=self.gpu_spec)
-        # The determiner owns the squad-signature decision cache (LRU,
-        # invalidated on profile recalibration — see recalibrate_profiles).
+        self.profiler = OfflineProfiler(config=config)
+        # The determiner owns the run's squad-signature LRU counts.
         self.determiner = ExecutionConfigDeterminer(config)
         # Populated in setup():
         self.manager: ConcurrentKernelManager
@@ -154,25 +153,6 @@ class BlessRuntime(SharingSystem):
                 app.app_id, profile.iso_latency(partition)
             )
             self.manager.register_client(app.app_id)
-
-    def recalibrate_profiles(self) -> None:
-        """Re-measure every client's profile and drop stale decisions.
-
-        The profiler's version token advances, so re-measured profiles
-        produce new squad signatures; the explicit cache invalidation
-        frees the memoized decisions built against the old calibration.
-        """
-        self.profiler.recalibrate()
-        self.determiner.invalidate_cache()
-        slo = self.config.slo_targets_us or {}
-        for client in self.clients.values():
-            app = client.app
-            profile = self.profiler.profile(app)
-            self.profiles[app.app_id] = profile
-            partition = self._partition_of[app.app_id]
-            self._t_ref[app.app_id] = slo.get(
-                app.app_id, profile.iso_latency(partition)
-            )
 
     # ------------------------------------------------------------------
     # Serving

@@ -68,49 +68,35 @@ class KernelSquad:
 
     def signature(
         self, profiles: Mapping[str, "AppProfile"], config: BlessConfig
-    ) -> Tuple[Hashable, List[str]]:
-        """Memoization key for the execution-configuration search.
+    ) -> Hashable:
+        """The squad's key in the determiner's signature LRU.
 
-        Returns ``(key, app_ids)`` where ``key`` hashes everything the
-        determiner's decision depends on — per app: the profiled model,
-        its calibration ``version``, its provisioned quota, its
+        Per app: the profiled model, its provisioned quota, its
         kernel-index window (which, given the profile, fixes the
-        per-kernel duration vector exactly — a collision-free refinement
-        of duration bucketing) and the profile's content ``digest``
-        (so a same-named app with another trace, such as its CUDA-graph
-        variant, gets its own key); globally: ``K``, ``N`` and the
-        search knobs.  ``app_ids`` is the canonical (sorted-term) app
-        order the positional cached decision is aligned with.
-
-        The per-app terms are sorted, so the key is independent of both
-        squad insertion order and client identity: two clients serving
-        the same model at the same quota over the same kernel window
-        produce the same key and share one cached decision.
+        per-kernel duration vector exactly) and the profile's content
+        ``digest`` (so a same-named app with another trace, such as its
+        CUDA-graph variant, gets its own key); globally: ``K``, ``N``
+        and the search knobs.  The per-app terms are sorted, so the key
+        is independent of both squad insertion order and client
+        identity: two clients serving the same model at the same quota
+        over the same kernel window count as one repeat squad.
         """
-        terms = []
-        for app_id, entry in self.entries.items():
-            profile = profiles[app_id]
-            terms.append(
-                (
-                    (
-                        profile.app_name,
-                        profile.version,
-                        entry.request.app.quota,
-                        tuple(entry.kernel_indices),
-                        profile.digest,
-                    ),
-                    app_id,
-                )
+        terms = sorted(
+            (
+                profiles[app_id].app_name,
+                entry.request.app.quota,
+                tuple(entry.kernel_indices),
+                profiles[app_id].digest,
             )
-        terms.sort(key=lambda t: t[0])
-        key: Hashable = (
-            tuple(t[0] for t in terms),
+            for app_id, entry in self.entries.items()
+        )
+        return (
+            tuple(terms),
             len(terms),
             config.num_partitions,
             config.nsp_predictor,
             config.semi_sp_mode,
         )
-        return key, [t[1] for t in terms]
 
     def add(self, request: Request, kernel_index: int) -> None:
         app_id = request.app.app_id

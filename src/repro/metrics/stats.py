@@ -24,9 +24,11 @@ import numpy as np
 class CacheStats:
     """Hit/miss accounting for a memoization cache.
 
-    Used by the execution-configuration cache (``repro.core.config_cache``)
-    and surfaced in ``ServingResult.extras`` so serving runs report how
-    much of the §4.4 search the squad-signature cache absorbed.
+    Used by the squad-signature LRU (``repro.core.config_cache``) and
+    surfaced in ``ServingResult.extras`` so serving runs report how
+    often the §4.4 search saw a repeat squad.  ``invalidations`` stays
+    0: nothing invalidates the LRU, but the key is part of the pinned
+    ``config_cache_*`` extras schema.
     """
 
     hits: int = 0
@@ -55,9 +57,6 @@ class CacheStats:
             "invalidations": float(self.invalidations),
             "hit_rate": self.hit_rate,
         }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.invalidations = 0
 
 
 @dataclass

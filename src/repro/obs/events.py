@@ -20,7 +20,7 @@ type                      emitted when
                           members, per-app kernel counts, relative progress P̃
 ``config.chosen``         the determiner picks an execution configuration
                           (§4.4): Eq. 1 / Eq. 2 estimates, candidate count,
-                          decision-cache hit/miss
+                          signature-LRU hit/miss
 ``config.fallback``       the quota-proportional plan replaced the determiner
                           (ablation or profile-drift bench, Fig. 20)
 ``squad.done``            a squad drains: predicted vs simulated duration

@@ -99,6 +99,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "T[n%]" in out and "VGG-inf" in out
 
+    @pytest.mark.parametrize("partition", ["0", "-3", "19"])
+    def test_profile_rejects_partition_outside_grid(self, capsys, partition):
+        assert main(["profile", "R50", "--partitions", "18", partition]) == 2
+        out = capsys.readouterr().out
+        assert f"got {partition}" in out and "[1, 18]" in out
+        assert "T[n%]" not in out
+
     def test_timeline(self, capsys):
         code = main(["timeline", "--models", "VGG", "R50", "--width", "40"])
         assert code == 0

@@ -1,9 +1,9 @@
-"""Tests for the squad-signature decision cache (§4.4 memoization).
+"""Tests for the squad-signature LRU and the decisions it counts (§4.4).
 
-Covers: (a) cached decisions equal uncached decisions over randomized
-squads, and both equal the exhaustive oracle scan; (b) the cache
-invalidates on profile recalibration; (c) the LRU eviction bound holds —
-plus the signature's canonicalization.
+Covers: (a) repeat decisions equal uncached decisions over randomized
+squads, and both equal the exhaustive oracle scan; (b) the LRU eviction
+bound holds and the LRU stores no decision — plus the signature's
+canonicalization.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.apps.application import Application, AppKind, Request
 from repro.core.config import BlessConfig
-from repro.core.config_cache import CachedDecision, ExecutionConfigCache
+from repro.core.config_cache import ExecutionConfigCache
 from repro.core.configurator import ExecutionConfigDeterminer
 from repro.core.profiler import OfflineProfiler
 from repro.core.runtime import BlessRuntime
@@ -152,69 +152,16 @@ class TestCachedEqualsUncached:
             )
 
 
-class TestInvalidation:
-    def make_setup(self):
-        a = build_app("a", [100.0, 80.0, 60.0], [1.0, 1.0, 1.0])
-        b = build_app("b", [50.0, 40.0, 30.0], [1.0, 1.0, 1.0])
-        profiler = OfflineProfiler()
-        profiles = {"a": profiler.profile(a), "b": profiler.profile(b)}
-        squad = squad_of([(a, [0, 1, 2]), (b, [0, 1, 2])])
-        return profiler, profiles, squad, (a, b)
-
-    def test_recalibration_changes_signature(self):
-        """(b) recalibrated profiles never hit stale cache entries."""
-        profiler, profiles, squad, (a, b) = self.make_setup()
-        determiner = ExecutionConfigDeterminer(BlessConfig())
-        determiner.determine(squad, profiles)
-        assert determiner.cache.stats.misses == 1
-
-        profiler.recalibrate()
-        fresh = {"a": profiler.profile(a), "b": profiler.profile(b)}
-        assert fresh["a"].version > profiles["a"].version
-        determiner.determine(squad, fresh)
-        # Same squad, same numbers — but the new calibration token means
-        # a new signature: the lookup must miss, not reuse stale data.
-        assert determiner.cache.stats.hits == 0
-        assert determiner.cache.stats.misses == 2
-
-    def test_explicit_invalidate_empties_cache(self):
-        profiler, profiles, squad, _ = self.make_setup()
-        determiner = ExecutionConfigDeterminer(BlessConfig())
-        determiner.determine(squad, profiles)
-        assert len(determiner.cache) == 1
-        determiner.invalidate_cache()
-        assert len(determiner.cache) == 0
-        assert determiner.cache.stats.invalidations == 1
-        determiner.determine(squad, profiles)
-        assert determiner.cache.stats.hits == 0
-
-    def test_runtime_recalibration_hook(self):
-        """BlessRuntime.recalibrate_profiles refreshes profiles + cache."""
-        apps = [
-            build_app("a", [100.0] * 4, [1.0] * 4),
-            build_app("b", [60.0] * 4, [1.0] * 4),
-        ]
-        runtime = BlessRuntime()
-        runtime.serve(bind_closed_loop(apps, factor=1.0, requests=3))
-        assert runtime.determiner.cache.stats.lookups > 0
-        old_versions = {a: p.version for a, p in runtime.profiles.items()}
-        runtime.recalibrate_profiles()
-        assert runtime.determiner.cache.stats.invalidations == 1
-        assert len(runtime.determiner.cache) == 0
-        for app_id, profile in runtime.profiles.items():
-            assert profile.version > old_versions[app_id]
-
-
 class TestLRUBound:
     def test_eviction_bound_holds(self):
-        """(c) the cache never exceeds its capacity; LRU order evicts."""
+        """(b) the LRU never exceeds its capacity; LRU order evicts."""
         cache = ExecutionConfigCache(capacity=8)
-        decision = CachedDecision(split=(9, 9), predicted_duration_us=1.0)
         for i in range(20):
-            cache.put(("key", i), decision)
+            assert not cache.lookup(("key", i))
             assert len(cache) <= 8
         assert len(cache) == 8
         assert cache.stats.evictions == 12
+        assert cache.stats.misses == 20
         # The 8 most recent keys survive, the older ones are gone.
         for i in range(12):
             assert ("key", i) not in cache
@@ -223,13 +170,13 @@ class TestLRUBound:
 
     def test_get_refreshes_recency(self):
         cache = ExecutionConfigCache(capacity=2)
-        decision = CachedDecision(split=None, predicted_duration_us=1.0)
-        cache.put("a", decision)
-        cache.put("b", decision)
-        assert cache.get("a") is decision  # refresh "a"
-        cache.put("c", decision)  # evicts "b", not "a"
+        cache.lookup("a")
+        cache.lookup("b")
+        assert cache.lookup("a")  # a hit refreshes "a"
+        cache.lookup("c")  # evicts "b", not "a"
         assert "a" in cache
         assert "b" not in cache
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -243,10 +190,10 @@ class TestSignature:
         profiler = OfflineProfiler()
         profiles = {"a": profiler.profile(a), "b": profiler.profile(b)}
         config = BlessConfig()
-        key_ab, _ = squad_of([(a, [0, 1]), (b, [0, 1])]).signature(
+        key_ab = squad_of([(a, [0, 1]), (b, [0, 1])]).signature(
             profiles, config
         )
-        key_ba, _ = squad_of([(b, [0, 1]), (a, [0, 1])]).signature(
+        key_ba = squad_of([(b, [0, 1]), (a, [0, 1])]).signature(
             profiles, config
         )
         assert key_ab == key_ba
@@ -286,10 +233,10 @@ class TestSignature:
         profiler = OfflineProfiler()
         profiles = {"a": profiler.profile(a), "b": profiler.profile(b)}
         config = BlessConfig()
-        key_head, _ = squad_of([(a, [0, 1]), (b, [0, 1])]).signature(
+        key_head = squad_of([(a, [0, 1]), (b, [0, 1])]).signature(
             profiles, config
         )
-        key_tail, _ = squad_of([(a, [1, 2]), (b, [1, 2])]).signature(
+        key_tail = squad_of([(a, [1, 2]), (b, [1, 2])]).signature(
             profiles, config
         )
         assert key_head != key_tail
@@ -304,7 +251,7 @@ class TestSignature:
         keys = []
         for variant in (a, a_graphed):
             profiles = {"a": profiler.profile(variant), "b": profiler.profile(b)}
-            key, _ = squad_of([(variant, [0, 1]), (b, [0, 1])]).signature(
+            key = squad_of([(variant, [0, 1]), (b, [0, 1])]).signature(
                 profiles, config
             )
             keys.append(key)

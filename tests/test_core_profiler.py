@@ -56,12 +56,14 @@ class TestProfileSemantics:
             profile.duration(18, k) + profile.gaps[k]
         )
 
-    def test_stack_duration_includes_gaps(self, profile):
-        stack = profile.stack_duration(18, 0, 10)
-        assert stack == pytest.approx(
-            profile.durations[17, :10].sum() + profile.gaps[:10].sum()
-        )
-        assert profile.stack_duration(9, 5, 5) == 0.0
+    def test_stack_costs_include_gaps(self, profile):
+        stack = profile.stack_costs(range(10))
+        assert stack.shape == (profile.num_partitions,)
+        for partition in (18, 9):
+            assert stack[partition - 1] == pytest.approx(
+                profile.durations[partition - 1, :10].sum() + profile.gaps[:10].sum()
+            )
+        assert profile.stack_costs([]).tolist() == [0.0] * profile.num_partitions
 
     def test_duration_at_fraction_interpolates(self, profile):
         k = 3
@@ -137,8 +139,9 @@ def _table1_profiles():
 
 
 class TestFrozenTables:
-    """The float tables behind ``tau``/``iso_latency``/``step_cost`` are
-    built once, so the arrays they copy must be read-only."""
+    """The process-wide profile table shares each profile with every
+    later run, so its arrays must be read-only, and the accessors must
+    return exactly the arrays' values as Python floats."""
 
     @pytest.mark.parametrize(
         "name", ["durations", "elapsed", "sm_demand", "gaps", "mem_intensity"]

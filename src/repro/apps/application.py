@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..gpusim.kernel import KernelInstance, KernelSpec
 
@@ -116,15 +116,12 @@ class Request:
     # Index of the last kernel known to have completed, exclusive.
     completed_kernels: int = 0
 
-    def make_kernel(self, index: int) -> KernelInstance:
-        """Instantiate the ``index``-th kernel of this request."""
-        spec = self.app.kernels[index]
-        return KernelInstance(
-            spec=spec,
-            app_id=self.app.app_id,
-            request_id=self.request_id,
-            seq=index,
-        )
+    def make_kernels(self, indices: Iterable[int]) -> List[KernelInstance]:
+        """Instantiate this request's kernels at ``indices``, in order."""
+        specs = self.app.kernels
+        app_id = self.app.app_id
+        request_id = self.request_id
+        return [KernelInstance(specs[i], app_id, request_id, i) for i in indices]
 
     @property
     def total_kernels(self) -> int:

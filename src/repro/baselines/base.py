@@ -558,7 +558,7 @@ class SharingSystem(abc.ABC):
                 return
             self.finish_request(c)
 
-        kernels = [request.make_kernel(index) for index in range(total)]
+        kernels = request.make_kernels(range(total))
         callbacks: List[Optional[Callable[[KernelInstance], None]]] = [None] * total
         callbacks[total - 1] = on_last
         self.engine.launch_batch(

@@ -94,9 +94,7 @@ class TemporalSystem(SharingSystem):
         def on_last(k, c=client, e=slice_end):
             self._on_batch_done(c, k, e)
 
-        kernels = [
-            request.make_kernel(i) for i in range(request.next_kernel, batch_end)
-        ]
+        kernels = request.make_kernels(range(request.next_kernel, batch_end))
         callbacks = [None] * len(kernels)
         callbacks[-1] = on_last
         self.engine.launch_batch(kernels, queue, callbacks=callbacks)

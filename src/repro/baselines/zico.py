@@ -50,7 +50,7 @@ class ZicoSystem(SharingSystem):
         def on_last(k, c=client):
             self._on_segment_done(c, k)
 
-        kernels = [request.make_kernel(index) for index in range(start, end)]
+        kernels = request.make_kernels(range(start, end))
         if kernels:
             callbacks = [None] * len(kernels)
             callbacks[-1] = on_last

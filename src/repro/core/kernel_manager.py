@@ -378,7 +378,7 @@ class ConcurrentKernelManager:
     ) -> None:
         if not indices:
             return
-        kernels = [entry.request.make_kernel(index) for index in indices]
+        kernels = entry.request.make_kernels(indices)
         callbacks: List[Optional[KernelCallback]] = [kernel_done] * len(indices)
         if last_callback is not None:
             callbacks[-1] = last_callback

@@ -35,7 +35,7 @@ from .configurator import (
 )
 from .kernel_manager import ConcurrentKernelManager, SquadExecution
 from .profiler import AppProfile, OfflineProfiler
-from .progress import RequestProgress
+from .progress import AppPlan, RequestProgress
 from .squad import generate_squad
 
 # Profile-drift watchdog (fault-injected runs): when a squad's measured
@@ -104,8 +104,7 @@ class BlessRuntime(SharingSystem):
         # Populated in setup():
         self.manager: ConcurrentKernelManager
         self.profiles: Dict[str, AppProfile] = {}
-        self._partition_of: Dict[str, int] = {}
-        self._t_ref: Dict[str, float] = {}
+        self._plans: Dict[str, AppPlan] = {}
         self._squad_inflight = False
         self._last_squad_duration = 0.0
         self._squad_count = 0
@@ -130,8 +129,7 @@ class BlessRuntime(SharingSystem):
         self.determiner.trace = self.obs.tracer
         self.manager.trace = self.obs.tracer
         self.profiles = {}
-        self._partition_of = {}
-        self._t_ref = {}
+        self._plans = {}
         self._squad_inflight = False
         self._last_squad_duration = 0.0
         self._squad_count = 0
@@ -148,9 +146,10 @@ class BlessRuntime(SharingSystem):
             profile = self.profiler.profile(app)
             self.profiles[app.app_id] = profile
             partition = self.config.nearest_partition(app.quota)
-            self._partition_of[app.app_id] = partition
-            self._t_ref[app.app_id] = slo.get(
-                app.app_id, profile.iso_latency(partition)
+            self._plans[app.app_id] = AppPlan(
+                profile,
+                partition,
+                slo.get(app.app_id, profile.iso_latency(partition)),
             )
             self.manager.register_client(app.app_id)
 
@@ -165,17 +164,8 @@ class BlessRuntime(SharingSystem):
         progresses = []
         for client in self.clients.values():
             request = client.active
-            if request is None or request.all_scheduled:
-                continue
-            app_id = client.app_id
-            progresses.append(
-                RequestProgress(
-                    request=request,
-                    profile=self.profiles[app_id],
-                    partition=self._partition_of[app_id],
-                    t_ref_us=self._t_ref[app_id],
-                )
-            )
+            if request is not None and not request.all_scheduled:
+                progresses.append(RequestProgress(request, self._plans[client.app_id]))
         return progresses
 
     def _schedule_round(self, from_idle: bool = False) -> None:

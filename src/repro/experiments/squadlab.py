@@ -69,8 +69,8 @@ def measure_sequential(squad: KernelSquad) -> float:
     queue = engine.create_queue(context)
     start = engine.now
     for entry in squad.entries.values():
-        for index in entry.kernel_indices:
-            engine.launch(entry.request.make_kernel(index), queue)
+        for kernel in entry.request.make_kernels(entry.kernel_indices):
+            engine.launch(kernel, queue)
     engine.run()
     return engine.now - start
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -150,41 +150,67 @@ class KernelSpec:
 _instance_counter = itertools.count()
 
 
-@dataclass
 class KernelInstance:
     """One dynamic execution of a :class:`KernelSpec`.
 
     ``remaining_work`` is measured in *solo-speed microseconds*: it
     starts at ``spec.base_duration_us`` and drains at the current
     execution rate (1.0 = solo full-demand speed).
+
+    Slotted with a plain ``__init__``: the engine builds one instance
+    per simulated kernel, so construction sits on the per-kernel path,
+    and a misspelt attribute raises instead of silently landing in an
+    instance dict.
     """
 
-    spec: KernelSpec
-    app_id: str = ""
-    request_id: int = -1
-    seq: int = 0  # index of this kernel within its request
-    uid: int = field(default_factory=lambda: next(_instance_counter))
-    remaining_work: float = field(init=False)
-    enqueue_time: Optional[float] = None
-    start_time: Optional[float] = None
-    finish_time: Optional[float] = None
-    # Filled in by the engine while the kernel runs:
-    current_rate: float = 0.0
-    current_sm_fraction: float = 0.0
-    # Fault machinery (see gpusim.faults): how many failed attempts this
-    # instance has retried, and whether it ended in permanent failure
-    # (either exhausted retries or killed with its context/request).
-    attempts: int = 0
-    failed: bool = False
-    # Engine bookkeeping: the device queue the kernel was pushed to, and
-    # the launch's per-kernel completion callback until it is consumed.
-    queue: Optional[DeviceQueue] = field(default=None, init=False, repr=False)
-    on_finish: Optional[Callable[[KernelInstance], None]] = field(
-        default=None, init=False, repr=False
+    __slots__ = (
+        "spec",
+        "app_id",
+        "request_id",
+        "seq",
+        "uid",
+        "remaining_work",
+        "enqueue_time",
+        "start_time",
+        "finish_time",
+        "current_rate",
+        "current_sm_fraction",
+        "attempts",
+        "failed",
+        "queue",
+        "on_finish",
     )
 
-    def __post_init__(self) -> None:
-        self.remaining_work = self.spec.base_duration_us
+    def __init__(
+        self,
+        spec: KernelSpec,
+        app_id: str = "",
+        request_id: int = -1,
+        seq: int = 0,  # index of this kernel within its request
+    ):
+        self.spec = spec
+        self.app_id = app_id
+        self.request_id = request_id
+        self.seq = seq
+        self.uid = next(_instance_counter)
+        self.remaining_work = spec.base_duration_us
+        self.enqueue_time: Optional[float] = None
+        self.start_time: Optional[float] = None
+        self.finish_time: Optional[float] = None
+        # Filled in by the engine while the kernel runs:
+        self.current_rate = 0.0
+        self.current_sm_fraction = 0.0
+        # Fault machinery (see gpusim.faults): how many failed attempts
+        # this instance has retried, and whether it ended in permanent
+        # failure (either exhausted retries or killed with its
+        # context/request).
+        self.attempts = 0
+        self.failed = False
+        # Engine bookkeeping: the device queue the kernel was pushed to
+        # (its context is what tracers record), and the launch's
+        # per-kernel completion callback until it is consumed.
+        self.queue: Optional[DeviceQueue] = None
+        self.on_finish: Optional[Callable[[KernelInstance], None]] = None
 
     @property
     def name(self) -> str:

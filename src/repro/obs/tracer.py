@@ -51,10 +51,10 @@ class DecisionTracer:
 
     # -- kernel records ------------------------------------------------
     def _on_finish(self, kernel: KernelInstance) -> None:
-        # The engine unmaps the kernel's queue before notifying
-        # subscribers, so the context is captured from the execution
-        # state recorded on the instance (or marked unknown).
+        # A kernel keeps the queue it ran in, and a queue keeps its
+        # context, so the context is read back at completion.
         finish_us = kernel.finish_time or 0.0
+        context = kernel.queue.context
         self.records.append(
             TraceEvent(
                 ts_us=finish_us,
@@ -69,8 +69,8 @@ class DecisionTracer:
                     "start_us": kernel.start_time or 0.0,
                     "finish_us": finish_us,
                     "sm_fraction": kernel.current_sm_fraction,
-                    "context_id": getattr(kernel, "traced_context_id", -1),
-                    "context_limit": getattr(kernel, "traced_context_limit", 1.0),
+                    "context_id": context.context_id,
+                    "context_limit": context.sm_limit,
                 },
             )
         )

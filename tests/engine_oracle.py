@@ -47,8 +47,6 @@ class OracleEngine(SimEngine):
                     self._ensure_gap_wake(queue, ready_at)
                     continue
                 kernel = queue.start_head(self.now)
-                kernel.traced_context_id = queue.context.context_id
-                kernel.traced_context_limit = queue.context.sm_limit
                 spec = kernel.spec
                 if spec.kind is KernelKind.SYNC or spec.base_duration_us == 0:
                     self._complete_kernel(queue, kernel)

@@ -163,7 +163,7 @@ class TestRequest:
     def test_kernel_instantiation(self):
         app = inference_app("VGG").with_quota(0.5, app_id="v1")
         request = Request(app=app, arrival_time=100.0)
-        kernel = request.make_kernel(0)
+        [kernel] = request.make_kernels([0])
         assert kernel.app_id == "v1"
         assert kernel.seq == 0
         assert kernel.request_id == request.request_id

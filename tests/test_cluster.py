@@ -656,6 +656,43 @@ class TestPlacementCostModel:
         assert weighted.slot_cost([a, b]) > flat.slot_cost([a, b])
 
 
+_MODELS = st.sampled_from(["R50", "VGG", "BERT", "R101", "NAS"])
+
+# Quota splits that fill one GPU exactly.
+_FULL_GPU = [(0.5, 0.5), (0.6, 0.4), (0.5, 0.3, 0.2), (0.4, 0.4, 0.2),
+             (0.4, 0.3, 0.3), (0.6, 0.2, 0.2)]
+
+
+def _batch_of(quotas):
+    """Batches of ``quotas`` in any order, each app a drawn model."""
+    return st.permutations(quotas).flatmap(
+        lambda order: st.tuples(*(st.tuples(_MODELS, st.just(q)) for q in order))
+    ).map(list)
+
+
+# (batch, GPUs): batches that pack only exactly onto their GPUs,
+# shuffled — the shape on which greedy constructions strand an app —
+# and mixed-quota batches on one to three GPUs.
+_exact_cases = (
+    st.lists(st.sampled_from(_FULL_GPU), min_size=1, max_size=3)
+    .filter(lambda splits: sum(map(len, splits)) <= 8)
+    .flatmap(
+        lambda splits: st.tuples(
+            _batch_of([quota for split in splits for quota in split]),
+            st.just(len(splits)),
+        )
+    )
+)
+_mixed_cases = st.tuples(
+    st.lists(
+        st.tuples(_MODELS, st.sampled_from([0.2, 0.25, 0.3, 0.4, 0.5, 0.6])),
+        min_size=2,
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+
+
 class TestContentionPlacement:
     def apps(self, specs):
         return [
@@ -792,6 +829,51 @@ class TestContentionPlacement:
         assume(oracle is not None and groups is not None)
         cost = placer.cost_model.assignment_cost(groups)
         assert cost <= oracle[0] * 1.36 + 1e-6
+
+    def test_exactly_packing_batch_is_placed(self):
+        # Both greedy constructions strand the last app of this batch:
+        # it packs only as {0.5, 0.3, 0.2} + {0.4, 0.3, 0.3}.
+        from .placement_oracle import exhaustive_placement
+
+        specs = [
+            ("R101", 0.5), ("R101", 0.4), ("R50", 0.3), ("BERT", 0.3),
+            ("NAS", 0.3), ("R101", 0.2),
+        ]
+        placer = ClusterPlacer(
+            num_gpus=2, policy=PlacementPolicy.CONTENTION_AWARE
+        )
+        placement = placer.place_all(self.apps(specs))
+        assert sorted(
+            sorted(app.quota for app in group) for group in placement.values()
+        ) == [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]]
+        oracle = exhaustive_placement(
+            self.apps(specs), 2, placer.cost_model, placer._feasible
+        )
+        assert placer.placement_cost() == pytest.approx(oracle[0], abs=1e-6)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=st.one_of(_exact_cases, _mixed_cases))
+    def test_solver_places_exactly_when_oracle_can(self, case):
+        batch, num_gpus = case
+        from repro.cluster.interference import solve_placement
+
+        from .placement_oracle import exhaustive_placement
+
+        apps = self.apps(batch)
+        placer = ClusterPlacer(
+            num_gpus=num_gpus, policy=PlacementPolicy.CONTENTION_AWARE
+        )
+        oracle = exhaustive_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
+        )
+        groups = solve_placement(
+            apps, num_gpus, placer.cost_model, placer._feasible
+        )
+        assert (groups is None) == (oracle is None)
+        if groups is not None:
+            assert sorted(app.app_id for group in groups for app in group) == sorted(
+                app.app_id for app in apps
+            )
 
     def test_infeasible_batch_raises_and_records_nothing(self):
         placer = ClusterPlacer(

@@ -7,7 +7,7 @@ from repro.baselines.iso import solo_latency_us
 from repro.core.config import BlessConfig
 from repro.core.graphs import graph_boundaries_for, graph_end, with_cuda_graphs
 from repro.core.profiler import OfflineProfiler
-from repro.core.progress import RequestProgress
+from repro.core.progress import AppPlan, RequestProgress
 from repro.core.runtime import BlessRuntime
 from repro.core.squad import generate_squad
 from repro.apps.application import Request
@@ -63,11 +63,8 @@ class TestGraphScheduling:
         config = BlessConfig()
         partition = config.nearest_partition(quota)
         return RequestProgress(
-            request=Request(app=app.with_quota(quota, app_id=app.app_id),
-                            arrival_time=0.0),
-            profile=profile,
-            partition=partition,
-            t_ref_us=profile.iso_latency(partition),
+            Request(app=app.with_quota(quota, app_id=app.app_id), arrival_time=0.0),
+            AppPlan(profile, partition, profile.iso_latency(partition)),
         )
 
     def test_squads_align_to_graph_boundaries(self):

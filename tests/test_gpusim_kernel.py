@@ -1,5 +1,6 @@
 """Unit tests for the kernel descriptors and the scaling model."""
 
+import pickle
 
 import pytest
 
@@ -140,3 +141,19 @@ class TestKernelInstance:
     def test_hashable(self):
         inst = KernelInstance(make_spec())
         assert inst in {inst}
+
+    def test_pickle_round_trip(self):
+        inst = KernelInstance(make_spec(name="conv1"), app_id="a", request_id=7, seq=3)
+        inst.remaining_work = 12.5
+        inst.start_time = 4.0
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and copy is not inst
+        assert copy.uid == inst.uid
+        for name in KernelInstance.__slots__:
+            assert getattr(copy, name) == getattr(inst, name)
+
+    def test_undeclared_attribute_raises(self):
+        inst = KernelInstance(make_spec())
+        assert not hasattr(inst, "__dict__")
+        with pytest.raises(AttributeError):
+            inst.traced_context_id = 0

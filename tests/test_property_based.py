@@ -8,7 +8,7 @@ from repro.apps.application import Application, AppKind, Request
 from repro.core.config import BlessConfig
 from repro.core.configurator import composition_count
 from repro.core.profiler import OfflineProfiler
-from repro.core.progress import RequestProgress
+from repro.core.progress import AppPlan, RequestProgress
 from repro.core.squad import generate_squad
 from repro.gpusim.device import MemoryPool
 from repro.gpusim.hwsched import waterfill
@@ -140,10 +140,8 @@ class TestSquadGenerationProperties:
             partition = config.nearest_partition(app.quota)
             progresses.append(
                 RequestProgress(
-                    request=Request(app=app, arrival_time=arrival),
-                    profile=profile,
-                    partition=partition,
-                    t_ref_us=profile.iso_latency(partition),
+                    Request(app=app, arrival_time=arrival),
+                    AppPlan(profile, partition, profile.iso_latency(partition)),
                 )
             )
         now = max(arrivals) + 100.0

@@ -1,5 +1,8 @@
 """Tests for the kernel records of the decision tracer's one stream."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.models import inference_app
@@ -8,9 +11,10 @@ from repro.gpusim.context import ContextRegistry
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelInstance, KernelSpec
-from repro.obs import DecisionTracer, load_records_jsonl
+from repro.gpusim.faults import FaultPlan
+from repro.obs import DecisionTracer, load_records_jsonl, save_perfetto
 from repro.workloads.arrivals import OneShot
-from repro.workloads.suite import WorkloadBinding
+from repro.workloads.suite import WorkloadBinding, asymmetric_pair, bind_load
 
 KERNEL_FIELDS = [
     "name",
@@ -94,3 +98,29 @@ class TestTracer:
         # Restricted contexts appear in the trace when squads go spatial.
         limits = {r.args["context_limit"] for r in records}
         assert 1.0 in limits
+
+
+# SHA-256 of the Perfetto export below, as written when each kernel
+# instance still stored its context id and limit at start: reading them
+# back from the kernel's queue at completion must not move a byte.
+PERFETTO_SHA256 = "4a71995677a17a45d2a27b692da6af0e870d7bbf4e7869ef3d0bf046c7c2ca68"
+
+
+def test_perfetto_export_is_pinned(tmp_path):
+    # Spatial squads (restricted contexts) plus a context crash, whose
+    # killed kernels are relaunched on a fresh queue.
+    plan = FaultPlan(kernel_failure_rate=0.05, context_crash_times=(4000.0,), seed=7)
+    system = BlessRuntime(trace=True, fault_plan=plan)
+    system.serve(bind_load(asymmetric_pair("R50", 0.7, 0.3), "A", requests=3))
+    path = tmp_path / "trace.json"
+    save_perfetto(system.obs.tracer.records, path)
+    data = path.read_bytes()
+    slices = [
+        event
+        for event in json.loads(data)["traceEvents"]
+        if event["ph"] == "X" and event["pid"] == 2
+    ]
+    limits = {event["args"]["context_limit"] for event in slices}
+    assert min(limits) < 1.0 and 1.0 in limits
+    assert len({event["tid"] for event in slices}) > 2
+    assert hashlib.sha256(data).hexdigest() == PERFETTO_SHA256

@@ -141,9 +141,6 @@ class Request:
             raise RuntimeError(f"request {self.request_id} not finished")
         return self.finish_time - self.arrival_time
 
-    def remaining_specs(self) -> List[KernelSpec]:
-        return self.app.kernels[self.next_kernel:]
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else f"{self.next_kernel}/{self.total_kernels}"
         return f"Request(#{self.request_id} {self.app.name} t={self.arrival_time:.0f} {state})"

@@ -61,7 +61,6 @@ class SharingSystem(abc.ABC):
         self,
         gpu_spec: Optional[GPUSpec] = None,
         record_timeline: bool = False,
-        hw_policy: str = "fair",
         validate: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[bool] = None,
@@ -69,7 +68,6 @@ class SharingSystem(abc.ABC):
     ):
         self.gpu_spec = gpu_spec or GPUSpec()
         self.record_timeline = record_timeline
-        self.hw_policy = hw_policy
         self.validate = validate
         # Observability: the metrics registry always rides along; the
         # decision tracer only when `trace=True` (or REPRO_TRACE is
@@ -199,7 +197,6 @@ class SharingSystem(abc.ABC):
         self.engine = SimEngine(
             device=GPUDevice(self.gpu_spec),
             record_timeline=self.record_timeline,
-            hw_policy=self.hw_policy,
             validate=self.validate,
             fault_injector=self.fault_injector,
         )

@@ -58,8 +58,6 @@ class BlessRuntime(SharingSystem):
       A100-like spec);
     * ``record_timeline`` — keep per-kernel execution records for the
       ASCII timeline renderer;
-    * ``hw_policy`` — hardware block-dispatch policy (``"fair"``/
-      ``"fifo"``);
     * ``validate`` — run invariant checks during serving;
     * ``fault_plan`` — deterministic fault injection
       (``docs/robustness.md``);
@@ -82,7 +80,6 @@ class BlessRuntime(SharingSystem):
         config: BlessConfig = DEFAULT_CONFIG,
         gpu_spec: Optional[GPUSpec] = None,
         record_timeline: bool = False,
-        hw_policy: str = "fair",
         validate: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[bool] = None,
@@ -91,7 +88,6 @@ class BlessRuntime(SharingSystem):
         super().__init__(
             gpu_spec=gpu_spec,
             record_timeline=record_timeline,
-            hw_policy=hw_policy,
             validate=validate,
             fault_plan=fault_plan,
             trace=trace,

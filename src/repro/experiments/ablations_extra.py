@@ -1,9 +1,8 @@
 """Extra ablations of this reproduction's own design choices.
 
-Beyond the paper's Fig. 20 (multi-task scheduler / determiner), four
+Beyond the paper's Fig. 20 (multi-task scheduler / determiner), three
 modelling and mechanism choices called out in DESIGN.md are swept here:
 
-* ``hw_policy`` — idealized max-min-fair block dispatch vs strict-FIFO;
 * ``nsp_predictor`` — simulator-calibrated independent-flow estimator
   vs the paper's Eq. 2 serialized-at-full-width model;
 * ``semi_sp_mode`` — adaptive rears vs the paper's static c% split;
@@ -42,10 +41,6 @@ def _mean_over_pairs(requests: int, load: str, **runtime_kwargs) -> float:
 def run(requests: int = 6, load: str = "B") -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {}
 
-    out["hw_policy"] = {
-        policy: _mean_over_pairs(requests, load, hw_policy=policy)
-        for policy in ("fair", "fifo")
-    }
     out["nsp_predictor"] = {
         predictor: _mean_over_pairs(
             requests, load, config=BlessConfig(nsp_predictor=predictor)

@@ -11,7 +11,7 @@ from .context import ContextRegistry, GPUContext
 from .device import GPUDevice, GPUSpec, MemoryPool, OutOfMemoryError
 from .engine import SimEngine, TimelineSegment
 from .faults import FaultInjector, FaultPlan, resolve_fault_plan
-from .hwsched import Allocation, HardwareScheduler
+from .hwsched import Allocation
 from .kernel import KernelInstance, KernelKind, KernelSpec
 from .mig import MIG_PROFILES, MIGInstance, assign_slices, nearest_profile, partition
 from .pcie import PCIeChannel
@@ -27,7 +27,6 @@ __all__ = [
     "GPUContext",
     "GPUDevice",
     "GPUSpec",
-    "HardwareScheduler",
     "KernelInstance",
     "KernelKind",
     "KernelSpec",

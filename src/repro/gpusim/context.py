@@ -10,7 +10,7 @@ different restrictions and switches between them at runtime (§4.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .device import GPUDevice
 
@@ -98,9 +98,3 @@ class ContextRegistry:
     def owned_by(self, owner: str) -> List[GPUContext]:
         return [c for c in self._contexts if c.owner == owner]
 
-    def find(self, owner: str, sm_limit: float, tol: float = 1e-9) -> Optional[GPUContext]:
-        """Find an existing context of ``owner`` with the given limit."""
-        for ctx in self._contexts:
-            if ctx.owner == owner and abs(ctx.sm_limit - sm_limit) <= tol:
-                return ctx
-        return None

@@ -47,22 +47,19 @@ A kernel carries its own device queue and completion callback
 (``KernelInstance.queue`` / ``on_finish``), so the per-kernel path
 does no dict bookkeeping for either.
 
-A rebalance takes its rates from one of two paths, fixed by the
-constructor's ``hw_policy``:
+A rebalance takes its rates from one path: a memo per membership
+signature in an engine-local LRU, backed for one- and two-kernel sets
+by a process-wide table keyed on portable rate rows, so serve N+1
+reuses serve N's rates.  A miss runs one scalar rate kernel.  Each
+context has at most one live device queue (``create_queue`` enforces
+it), so every running kernel is alone in its context and the rate
+kernel's allocation is a water-fill of the kernels' wants.
 
-* ``fair`` (default) — memoised per membership signature in an
-  engine-local LRU, backed for one- and two-kernel sets by a
-  process-wide table keyed on portable rate rows, so serve N+1 reuses
-  serve N's rates.  A miss runs one scalar rate kernel;
-* ``fifo`` — FIFO grants depend on kernel start order, not only on
-  membership, so every rebalance runs the reference pipeline
-  (``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
-  ``KernelSpec.rate_at``) and nothing is memoised.
-
-``validate=True`` keeps the same loop and rate paths.  After every
-rebalance it recomputes the rates through the reference pipeline,
-asserts they equal the applied ones bit for bit, and checks the
-physical invariants.
+``validate=True`` keeps the same loop and rate path.  After every
+rebalance it recomputes the rates through the reference pipeline
+(``hwsched.allocate`` → ``interference.slowdowns`` →
+``KernelSpec.rate_at``), asserts they equal the applied ones bit for
+bit, and checks the physical invariants.
 
 ``SimEngine.counters`` exposes the event/rebalance/epoch/compaction
 tallies; serving harnesses surface them in ``ServingResult.extras``
@@ -79,7 +76,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from .device import GPUDevice
-from .hwsched import CAPACITY_EPS, SATISFIED_EPS, Allocation, HardwareScheduler
+from .hwsched import CAPACITY_EPS, SATISFIED_EPS, Allocation, allocate
 from . import interference
 from .kernel import KernelInstance, KernelKind
 from .pcie import PCIeChannel
@@ -122,10 +119,10 @@ _REBALANCE_CACHE_TRACK = _REBALANCE_CACHE_SIZE // 2
 _RATES_L2_SIZE = 65536
 _rates_l2: Dict[tuple, tuple] = {}
 
-# The fit bound of the rate kernel: when every kernel runs in its own
-# context at one priority level and the wants sum to at most this, each
-# want is granted whole.  Each water-fill round then has more capacity
-# left than its pending wants need, by a margin (1e-9) far above the
+# The fit bound of the rate kernel: when every kernel runs at one
+# priority level and the wants sum to at most this, each want is
+# granted whole.  Each water-fill round then has more capacity left
+# than its pending wants need, by a margin (1e-9) far above the
 # rounding error of the running sums (a few ulps of 1.0), so every
 # round grants at least its smallest want whole and no round splits.
 _FIT_TOTAL = 1.0 - 1e-9
@@ -169,21 +166,16 @@ class SimEngine:
         self,
         device: Optional[GPUDevice] = None,
         record_timeline: bool = False,
-        hw_policy: str = "fair",
         validate: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
     ):
         self.device = device or GPUDevice()
-        self.hwsched = HardwareScheduler(policy=hw_policy)
         # Debug mode: after every rebalance, check the applied rates
         # against the reference pipeline and assert the physical
         # invariants (allocation feasibility, rate bounds).
         self.validate = validate
         # The clock at the last invariant check (validate only).
         self._checked_now = 0.0
-        # Fair grants are a pure function of running-set membership, so
-        # they are memoised; FIFO grants also depend on start order.
-        self._memo_rates = self.hwsched.policy == "fair"
         self.pcie = PCIeChannel()
         self.now = 0.0
         self._heap: List[Tuple[float, int, _Event]] = []
@@ -195,9 +187,6 @@ class SimEngine:
         self._dirty_queues: Dict[int, DeviceQueue] = {}
         self._running_compute: List[KernelInstance] = []
         self._running_memcpy: List[KernelInstance] = []
-        # Context id of each running kernel, aligned with
-        # _running_compute (the rate kernel's shared-context test).
-        self._running_cids: List[int] = []
         # Incrementally-maintained membership signature, aligned with
         # _running_compute: context_id and spec token packed into one
         # int (cheap tuple hashing on the memoized rebalance path).
@@ -279,6 +268,18 @@ class SimEngine:
     # Queue / context management
     # ------------------------------------------------------------------
     def create_queue(self, context: GPUContext, label: str = "") -> DeviceQueue:
+        """Bond a new device queue to ``context``.
+
+        A context holds at most one live queue, so no two running
+        kernels share a context; a context freed by :meth:`remove_queue`
+        or :meth:`kill_context` may take a new one.
+        """
+        for queue in self._queues:
+            if queue.context.context_id == context.context_id:
+                raise ValueError(
+                    f"context {context.context_id} already has a live queue"
+                    f" ({queue.label or queue.queue_id})"
+                )
         queue = DeviceQueue(context=context, label=label)
         self._queues.append(queue)
         return queue
@@ -542,7 +543,6 @@ class SimEngine:
         if row is None:
             row = self._rate_rows[part] = self._rate_row(kernel, ctx)
         self._running_compute.append(kernel)
-        self._running_cids.append(cid)
         self._sig_parts.append(part)
         self._running_rows.append(row)
         self._running_dirty = True
@@ -665,12 +665,12 @@ class SimEngine:
     def _rebalance(self) -> None:
         """Recompute rates for all running kernels and the next completion.
 
-        Under the fair policy the rates are memoised per membership
-        signature; for running sets of one or two kernels the memo adds
-        a process-wide second level, keyed on their rate rows, so the
-        engines of later serves in a sweep start warm.  Recency is only
-        tracked once the memo is half full — below that nothing will be
-        evicted, so ``move_to_end`` on every hit would be pure overhead.
+        The rates are memoised per membership signature; for running
+        sets of one or two kernels the memo adds a process-wide second
+        level, keyed on their rate rows, so the engines of later serves
+        in a sweep start warm.  Recency is only tracked once the memo is
+        half full — below that nothing will be evicted, so
+        ``move_to_end`` on every hit would be pure overhead.
         One apply pass per running list first drains each kernel's work
         at its old rate up to ``now`` (the busy-time accrual), then sets
         its new rate and folds its finish time into the next completion;
@@ -700,45 +700,37 @@ class SimEngine:
             self._completion_time = math.inf
             return
 
-        if not self._memo_rates:
-            cached = self._reference_rates()[0]
+        key = tuple(self._sig_parts)
+        cache = self._rebalance_cache
+        cached = cache.get(key)
+        if cached is not None:
+            self._rebalance_cache_hits += 1
+            if len(cache) >= _REBALANCE_CACHE_TRACK:
+                cache.move_to_end(key)
         else:
-            key = tuple(self._sig_parts)
-            cache = self._rebalance_cache
-            cached = cache.get(key)
-            if cached is not None:
-                self._rebalance_cache_hits += 1
-                if len(cache) >= _REBALANCE_CACHE_TRACK:
-                    cache.move_to_end(key)
+            rows = self._running_rows
+            n = len(rows)
+            # The process-wide memo only where it hits: a lone kernel
+            # keys on its row, a pair on both rows; wider sets skip it.
+            if n == 1:
+                l2_key = rows[0]
+            elif n == 2:
+                l2_key = (rows[0], rows[1])
             else:
-                rows = self._running_rows
-                n = len(rows)
-                # The process-wide memo only where it hits: a lone
-                # kernel keys on its row, a pair on both rows (marked
-                # when they share a context); wider sets skip it.
-                if n == 1:
-                    l2_key = rows[0]
-                elif n == 2:
-                    parts = self._sig_parts
-                    if parts[0] >> 32 != parts[1] >> 32:
-                        l2_key = (rows[0], rows[1])
-                    else:
-                        l2_key = (rows[0], rows[1], True)
-                else:
-                    l2_key = None
-                if l2_key is None:
+                l2_key = None
+            if l2_key is None:
+                cached = self._compute_rates(rows)
+            else:
+                l2 = _rates_l2
+                cached = l2.get(l2_key)
+                if cached is None:
                     cached = self._compute_rates(rows)
-                else:
-                    l2 = _rates_l2
-                    cached = l2.get(l2_key)
-                    if cached is None:
-                        cached = self._compute_rates(rows)
-                        if len(l2) >= _RATES_L2_SIZE:
-                            l2.clear()
-                        l2[l2_key] = cached
-                cache[key] = cached
-                if len(cache) > _REBALANCE_CACHE_SIZE:
-                    cache.popitem(last=False)
+                    if len(l2) >= _RATES_L2_SIZE:
+                        l2.clear()
+                    l2[l2_key] = cached
+            cache[key] = cached
+            if len(cache) > _REBALANCE_CACHE_SIZE:
+                cache.popitem(last=False)
         fractions, rates, busy = cached
 
         eta = math.inf
@@ -839,114 +831,91 @@ class SimEngine:
     ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
         """Allocation → slowdown → rate over the running set's rows.
 
-        With a context per kernel the allocation is a water-fill of the
-        rows' wants per priority level, done inline, and on one level a
-        set whose wants fit, or all clear the first round's bar, skips
-        it: each want is granted whole.  Sets with a shared context go
-        through the hardware scheduler's general grouping.  Reproduces
-        :meth:`_reference_rates` under the fair policy bit for bit: the
-        same IEEE operations in the same order.  Returns per-kernel SM
-        fractions and rates aligned with ``_running_compute``, plus the
-        busy fraction.
+        Every kernel runs in its own context (``create_queue`` allows
+        one live queue per context), so a context's first pass grants
+        its one kernel the row's want and the allocation is a
+        water-fill of the rows' wants per priority level, done inline.
+        On one level a set whose wants fit, or all clear the first
+        round's bar, skips it: each want is granted whole.  Reproduces
+        :meth:`_reference_rates` bit for bit: the same IEEE operations
+        in the same order.  Returns per-kernel SM fractions and rates
+        aligned with ``_running_compute``, plus the busy fraction.
         """
         n = len(rows)
         if n == 0:
             return (), (), 0.0
-        cids = self._running_cids
-        if n == 1:
-            own = True
-        elif n == 2:
-            own = cids[0] != cids[1]
-        else:
-            own = len(set(cids)) == n
         # The busy fraction, total intensity and scattered count of the
         # active subset (grant > 0), summed in allocation order as the
-        # reference does; None until the grants are known.
-        allocation_order = None
-        if own:
-            # Every kernel in its own context: a context's first pass
-            # grants its one kernel the row's want, so the allocation is
-            # a water-fill of the wants per priority level.  On one
-            # level, every want is granted whole when they fit (sum to
-            # at most _FIT_TOTAL) or when all clear the first round's
-            # bar, so sum for that case first, in running order.
-            busy = 0.0
-            total_intensity = 0.0
-            num_unrestricted = 0
-            wants = []
-            priority = rows[0][0]
-            one_level = True
-            for row in rows:
-                want = row[2]
-                wants.append(want)
-                if want > 0:
-                    busy += want
-                    total_intensity += row[3]
-                    if not row[1]:
-                        num_unrestricted += 1
-                if row[0] != priority:
-                    one_level = False
-            if one_level and (
-                busy <= _FIT_TOTAL or max(wants) <= 1.0 / n + SATISFIED_EPS
-            ):
-                grants = wants
-            else:
-                # Water-fill each level over the capacity the levels
-                # above left, highest priority first.  Fills start at
-                # 0.0, so a round's satisfied wants are granted whole
-                # (their context scale is exactly 1.0) and subtracted in
-                # index order; when no want clears the bar, the rest
-                # split it and scale back through their context as
-                # ``want * (share / want)``.  Wants never reached keep
-                # 0.0.
-                if one_level:
-                    levels = [range(n)]
-                else:
-                    levels = [
-                        [i for i in range(n) if rows[i][0] == level]
-                        for level in sorted({row[0] for row in rows}, reverse=True)
-                    ]
-                grants = [0.0] * n
-                capacity = 1.0
-                for level in levels:
-                    pending = level
-                    remaining = capacity
-                    while pending and remaining > CAPACITY_EPS:
-                        share = remaining / len(pending)
-                        bar = share + SATISFIED_EPS
-                        above = []
-                        for i in pending:
-                            want = wants[i]
-                            if want <= bar:
-                                remaining -= want
-                                grants[i] = want
-                            else:
-                                above.append(i)
-                        if len(above) == len(pending):
-                            for i in above:
-                                want = wants[i]
-                                grants[i] = want * (share / want)
-                            break
-                        pending = above
-                    if not one_level:
-                        for i in level:
-                            capacity -= grants[i]
-                        if not capacity > 0.0:
-                            capacity = 0.0
-                allocation_order = levels
+        # reference does.  On one level, every want is granted whole
+        # when they fit (sum to at most _FIT_TOTAL) or when all clear
+        # the first round's bar, so sum for that case first, in running
+        # order.
+        busy = 0.0
+        total_intensity = 0.0
+        num_unrestricted = 0
+        wants = []
+        priority = rows[0][0]
+        one_level = True
+        for row in rows:
+            want = row[2]
+            wants.append(want)
+            if want > 0:
+                busy += want
+                total_intensity += row[3]
+                if not row[1]:
+                    num_unrestricted += 1
+            if row[0] != priority:
+                one_level = False
+        if one_level and (
+            busy <= _FIT_TOTAL or max(wants) <= 1.0 / n + SATISFIED_EPS
+        ):
+            grants = wants
         else:
-            # Shared contexts: the hardware scheduler's general grouping,
-            # as (running-index, grant) pairs in its allocation order.
+            # Water-fill each level over the capacity the levels above
+            # left, highest priority first.  Fills start at 0.0, so a
+            # round's satisfied wants are granted whole (their context
+            # scale is exactly 1.0) and subtracted in index order; when
+            # no want clears the bar, the rest split it and scale back
+            # through their context as ``want * (share / want)``.
+            # Wants never reached keep 0.0.
+            if one_level:
+                levels = [range(n)]
+            else:
+                levels = [
+                    [i for i in range(n) if rows[i][0] == level]
+                    for level in sorted({row[0] for row in rows}, reverse=True)
+                ]
             grants = [0.0] * n
-            pairs = self.hwsched.allocate_fair_indexed(rows, cids)
-            for index, grant in pairs:
-                grants[index] = grant
-            allocation_order = [[index for index, _ in pairs]]
-        if allocation_order is not None:
+            capacity = 1.0
+            for level in levels:
+                pending = level
+                remaining = capacity
+                while pending and remaining > CAPACITY_EPS:
+                    share = remaining / len(pending)
+                    bar = share + SATISFIED_EPS
+                    above = []
+                    for i in pending:
+                        want = wants[i]
+                        if want <= bar:
+                            remaining -= want
+                            grants[i] = want
+                        else:
+                            above.append(i)
+                    if len(above) == len(pending):
+                        for i in above:
+                            want = wants[i]
+                            grants[i] = want * (share / want)
+                        break
+                    pending = above
+                if not one_level:
+                    for i in level:
+                        capacity -= grants[i]
+                    if not capacity > 0.0:
+                        capacity = 0.0
             busy = 0.0
             total_intensity = 0.0
             num_unrestricted = 0
-            for level in allocation_order:
+            for level in levels:
                 for index in level:
                     grant = grants[index]
                     if grant > 0:
@@ -995,19 +964,17 @@ class SimEngine:
                 rates.append(base / duration / slowdown)
         return tuple(grants), tuple(rates), busy if busy < 1.0 else 1.0
 
-    # -- the reference pipeline (fifo policy, validate) ----------------
+    # -- the reference pipeline (validate) -----------------------------
     def _reference_rates(self) -> Tuple[tuple, List[Allocation]]:
         """The running set's rates through the reference pipeline.
 
-        ``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
+        ``hwsched.allocate`` → ``interference.slowdowns`` →
         ``KernelSpec.rate_at``, one kernel at a time.  Returns the
         ``(fractions, rates, busy)`` triple in the rate kernel's layout,
         plus the allocations for the invariant checks.
         """
         running = self._running_compute
-        allocations = self.hwsched.allocate(
-            running, {kernel.uid: kernel.queue for kernel in running}
-        )
+        allocations = allocate(running)
         active = [a for a in allocations if a.sm_fraction > 0]
         slowdowns = interference.slowdowns(
             [
@@ -1143,7 +1110,6 @@ class SimEngine:
                     # Removed by that handler: nothing left to complete.
                     continue
             del running_compute[index]
-            del self._running_cids[index]
             del self._sig_parts[index]
             del self._running_rows[index]
             removed += 1
@@ -1309,7 +1275,6 @@ class SimEngine:
         except ValueError:
             return False
         del self._running_compute[index]
-        del self._running_cids[index]
         del self._sig_parts[index]
         del self._running_rows[index]
         self._running_dirty = True
@@ -1432,9 +1397,9 @@ class SimEngine:
     def kill_context(
         self, context: GPUContext
     ) -> List[Tuple[KernelInstance, Optional[Callable[[KernelInstance], None]]]]:
-        """Tear down ``context``: its queues die with every buffered kernel.
+        """Tear down ``context``: its queue dies with every buffered kernel.
 
-        Models an MPS context crash.  Queues bonded to the context are
+        Models an MPS context crash.  The queue bonded to the context is
         removed from the engine and flagged ``dead`` so in-flight
         launches fail instead of executing on a ghost context.  Returns
         (kernel, callback) pairs in queue order for the caller to shed
@@ -1527,11 +1492,6 @@ class SimEngine:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_integral / elapsed)
-
-    @property
-    def busy_sm_time(self) -> float:
-        """Integral of busy SM fraction (SM-fraction x microseconds)."""
-        return self._busy_integral
 
     @property
     def kernels_completed(self) -> int:

@@ -15,7 +15,7 @@ BLESS degrades gracefully (see docs/robustness.md):
   its request;
 * **context crashes** — at each time in ``context_crash_times`` one
   restricted (MPS) context is torn down, killing every kernel buffered
-  in its queues; runtimes recover by re-registering the client and
+  in its queue; runtimes recover by re-registering the client and
   relaunching the killed work on a surviving context;
 * **profile drift** — each (app, kernel) pair gains a persistent
   multiplicative error of up to ``profile_drift``, so offline profiles

@@ -58,6 +58,10 @@ def apps_from_models(
 ) -> List[Application]:
     """Deploy ``models`` with ``quotas`` (default: an even split)."""
     maker = training_app if training else inference_app
+    if not models:
+        raise ScenarioError(
+            f"apps: 'models' must list at least one model, got {models!r}"
+        )
     if quotas is None:
         quotas = [1.0 / len(models)] * len(models)
     if len(quotas) != len(models):

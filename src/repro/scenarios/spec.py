@@ -69,6 +69,12 @@ COMPONENT_SECTIONS = ("apps", "arrivals", "faults", "slo")
 RUNNER_AXES = ("requests", "seed")
 
 
+def _is_int(value: Any) -> bool:
+    """An integer proper: ``bool`` is an ``int`` subclass, but ``true``
+    in a document is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ComponentRef:
     """A ``(registry name, kwargs)`` reference; kwargs stay data."""
@@ -122,8 +128,10 @@ class ClusterSection:
     migrate: bool = False
 
     def __post_init__(self) -> None:
-        if self.gpus < 1:
-            raise ScenarioError("cluster.gpus must be >= 1")
+        if not _is_int(self.gpus) or self.gpus < 1:
+            raise ScenarioError(
+                f"cluster.gpus must be an integer >= 1, got {self.gpus!r}"
+            )
 
     def replace(self, **changes) -> "ClusterSection":
         import dataclasses
@@ -156,6 +164,21 @@ class ScenarioSpec:
     # axis -> swept values, axes sorted by name (canonical order).
     sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        # Here rather than in from_dict, so that sweep points (built
+        # with dataclasses.replace) are checked too.
+        if not _is_int(self.schema_version) or self.schema_version != SCHEMA_VERSION:
+            raise ScenarioError(
+                f"schema_version must be {SCHEMA_VERSION}, "
+                f"got {self.schema_version!r}"
+            )
+        if not _is_int(self.requests) or self.requests < 1:
+            raise ScenarioError(
+                f"'requests' must be a positive integer, got {self.requests!r}"
+            )
+        if not _is_int(self.seed):
+            raise ScenarioError(f"'seed' must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-data form; ``from_dict`` round-trips it."""
@@ -191,7 +214,7 @@ def from_dict(payload: Mapping[str, Any], source: str = "<dict>") -> ScenarioSpe
             f"allowed: {sorted(_TOP_LEVEL_KEYS)}"
         )
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ScenarioError(
             f"{source}: schema_version must be {SCHEMA_VERSION}, got {version!r} "
             "(this framework only reads specs it can interpret faithfully)"
@@ -211,12 +234,6 @@ def from_dict(payload: Mapping[str, Any], source: str = "<dict>") -> ScenarioSpe
         raise ScenarioError(
             f"{source}: 'systems' must be a non-empty list of system names"
         )
-    requests = payload.get("requests", 8)
-    seed = payload.get("seed", 0)
-    if not isinstance(requests, int) or requests < 1:
-        raise ScenarioError(f"{source}: 'requests' must be a positive integer")
-    if not isinstance(seed, int):
-        raise ScenarioError(f"{source}: 'seed' must be an integer")
 
     cluster = None
     if "cluster" in payload:
@@ -244,23 +261,26 @@ def from_dict(payload: Mapping[str, Any], source: str = "<dict>") -> ScenarioSpe
         _validate_axis(axis, cluster, source)
         sweep.append((axis, tuple(values)))
 
-    return ScenarioSpec(
-        name=name,
-        description=str(payload.get("description", "")).strip(),
-        apps=ComponentRef.parse(payload["apps"], "apps"),
-        arrivals=ComponentRef.parse(payload["arrivals"], "arrivals"),
-        systems=tuple(systems),
-        faults=(
-            ComponentRef.parse(payload["faults"], "faults")
-            if "faults" in payload
-            else None
-        ),
-        slo=ComponentRef.parse(payload["slo"], "slo") if "slo" in payload else None,
-        cluster=cluster,
-        requests=requests,
-        seed=seed,
-        sweep=tuple(sweep),
-    )
+    try:
+        return ScenarioSpec(
+            name=name,
+            description=str(payload.get("description", "")).strip(),
+            apps=ComponentRef.parse(payload["apps"], "apps"),
+            arrivals=ComponentRef.parse(payload["arrivals"], "arrivals"),
+            systems=tuple(systems),
+            faults=(
+                ComponentRef.parse(payload["faults"], "faults")
+                if "faults" in payload
+                else None
+            ),
+            slo=ComponentRef.parse(payload["slo"], "slo") if "slo" in payload else None,
+            cluster=cluster,
+            requests=payload.get("requests", 8),
+            seed=payload.get("seed", 0),
+            sweep=tuple(sweep),
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
 
 
 def _validate_axis(

@@ -7,8 +7,9 @@ with none of its machinery:
 * a launch makes one visibility event per kernel;
 * each dispatch scans every queue until the heads are stable;
 * every event recomputes all rates through the reference pipeline
-  (``HardwareScheduler.allocate`` → ``interference.slowdowns`` →
-  ``KernelSpec.rate_at``), with no gating and no memo.
+  (``hwsched.allocate`` → ``interference.slowdowns`` →
+  ``KernelSpec.rate_at``), with no gating and no memo, where the engine
+  runs its inline rate kernel.
 
 Tests compare the engine to it byte for byte.  Only the ``engine_*``
 counters differ, because they count the machinery.

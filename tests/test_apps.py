@@ -181,7 +181,6 @@ class TestRequest:
         assert not request.all_scheduled
         request.next_kernel = request.total_kernels
         assert request.all_scheduled
-        assert request.remaining_specs() == []
 
     def test_unique_request_ids(self):
         app = inference_app("VGG")

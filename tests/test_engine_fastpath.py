@@ -1,7 +1,7 @@
-"""The engine's event loop and rate paths against their references.
+"""The engine's event loop and rate path against their references.
 
 Covers: the engine against the naive oracle stepper (tests/
-engine_oracle.py) under both hardware policies, batched kernel launch,
+engine_oracle.py), batched kernel launch,
 gap wake-ups as pseudo-events, lazy-cancel heap compaction, the bounded
 timeline ring buffer, the surfaced engine counters, the rate kernel
 against the reference allocation pipeline, the one- and two-kernel
@@ -52,9 +52,9 @@ def compute(name="k", dur=100.0, demand=0.8, mem=0.0, gap=0.0):
     )
 
 
-def run_mixed_workload(engine_cls, hw_policy):
+def run_mixed_workload(engine_cls):
     """Three contexts, mixed demands/gaps; returns (finish order, times)."""
-    engine, registry = make_engine(engine_cls, hw_policy=hw_policy)
+    engine, registry = make_engine(engine_cls)
     queues = [
         engine.create_queue(registry.create(f"app{i}", 0.4, charge_memory=False))
         for i in range(3)
@@ -88,15 +88,11 @@ class TestEngineModes:
             make_engine(mode="scalar")
 
     def test_modes_bit_identical(self):
-        for hw_policy in ("fair", "fifo"):
-            assert run_mixed_workload(SimEngine, hw_policy) == run_mixed_workload(
-                OracleEngine, hw_policy
-            ), hw_policy
+        assert run_mixed_workload(SimEngine) == run_mixed_workload(OracleEngine)
 
 
 def run_faulty_switching_workload(
-    engine_cls, hw_policy, kernel_params, failure_rate, fault_seed, switch_at,
-    second_wave,
+    engine_cls, kernel_params, failure_rate, fault_seed, switch_at, second_wave,
 ):
     """Random workload with a fault plan and a mid-run squad switch.
 
@@ -112,7 +108,6 @@ def run_faulty_switching_workload(
     )
     engine = engine_cls(
         device=GPUDevice(GPUSpec()),
-        hw_policy=hw_policy,
         fault_injector=FaultInjector(plan),
     )
     registry = ContextRegistry(engine.device)
@@ -192,16 +187,13 @@ class TestEpochBatchingProperty:
         fault_seed=st.integers(min_value=0, max_value=2**31),
         switch_at=st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
         second_wave=st.lists(kernel_param, min_size=0, max_size=3),
-        hw_policy=st.sampled_from(["fair", "fifo"]),
     )
     def test_engine_equals_oracle(
         self, kernel_params, failure_rate, fault_seed, switch_at, second_wave,
-        hw_policy,
     ):
         """The epoch loop is byte-identical to the naive oracle across
-        random fault plans, squad switches and both hardware policies."""
-        args = (hw_policy, kernel_params, failure_rate, fault_seed, switch_at,
-                second_wave)
+        random fault plans and squad switches."""
+        args = (kernel_params, failure_rate, fault_seed, switch_at, second_wave)
         assert run_faulty_switching_workload(
             SimEngine, *args
         ) == run_faulty_switching_workload(OracleEngine, *args)
@@ -419,23 +411,23 @@ class TestCountersSurfaced:
 # ----------------------------------------------------------------------
 # The rate kernel against the reference pipeline
 # ----------------------------------------------------------------------
-def kernel_rates(specs, owners, limits, priorities):
+def kernel_rates(specs, limits, priorities):
     """The engine's rate kernel over one running set, plus the reference
-    pipeline (``HardwareScheduler.allocate`` →
-    ``interference.slowdowns`` → ``KernelSpec.rate_at``).
+    pipeline (``hwsched.allocate`` → ``interference.slowdowns`` →
+    ``KernelSpec.rate_at``).
 
-    ``owners[i]`` is the context slot of kernel ``i``; ``limits`` and
-    ``priorities`` describe the slots.
+    Kernel ``i`` runs alone in a context of SM limit ``limits[i]`` and
+    priority ``priorities[i]``, as the engine's one queue per context
+    guarantees.
     """
     engine, registry = make_engine()
-    contexts = [
-        registry.create(f"app{slot}", limit, priority=priority, charge_memory=False)
-        for slot, (limit, priority) in enumerate(zip(limits, priorities))
-    ]
-    for spec, slot in zip(specs, owners):
+    for index, (spec, limit, priority) in enumerate(zip(specs, limits, priorities)):
+        context = registry.create(
+            f"app{index}", limit, priority=priority, charge_memory=False
+        )
         kernel = KernelInstance(spec)
-        engine._add_running(kernel, contexts[slot])
-        kernel.queue = SimpleNamespace(context=contexts[slot])
+        engine._add_running(kernel, context)
+        kernel.queue = SimpleNamespace(context=context)
     return engine._compute_rates(engine._running_rows), engine._reference_rates()[0]
 
 
@@ -461,27 +453,15 @@ sm_limit = st.one_of(
 
 @st.composite
 def running_sets(draw):
+    """One context per kernel, with drawn limits and priorities."""
     n = draw(st.integers(min_value=1, max_value=12))
+    limits = draw(st.lists(sm_limit, min_size=n, max_size=n))
     if draw(st.booleans()):
-        owners = list(range(n))  # one kernel per context
+        priorities = [0] * n
     else:
-        slots = draw(st.integers(min_value=1, max_value=n))
-        owners = draw(
-            st.lists(st.integers(0, slots - 1), min_size=n, max_size=n)
-        )
-        # Renumber slots in first-appearance order, dropping unused ones.
-        order = {}
-        owners = [order.setdefault(slot, len(order)) for slot in owners]
-    n_ctx = max(owners) + 1
-    limits = draw(st.lists(sm_limit, min_size=n_ctx, max_size=n_ctx))
-    if draw(st.booleans()):
-        priorities = [0] * n_ctx
-    else:
-        priorities = draw(
-            st.lists(st.integers(0, 2), min_size=n_ctx, max_size=n_ctx)
-        )
+        priorities = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     specs = draw(st.lists(rate_spec, min_size=n, max_size=n))
-    return specs, owners, limits, priorities
+    return specs, limits, priorities
 
 
 @st.composite
@@ -518,7 +498,7 @@ def fit_bound_sets(draw):
                    serial_fraction=draw(st.floats(0.0, 0.9)))
         for i, demand in enumerate(demands)
     ]
-    return specs, list(range(n)), [1.0] * n, [0] * n
+    return specs, [1.0] * n, [0] * n
 
 
 def own_contexts(demands, limit=1.0, mem=0.4):
@@ -528,7 +508,7 @@ def own_contexts(demands, limit=1.0, mem=0.4):
         for i, d in enumerate(demands)
     ]
     n = len(specs)
-    return specs, list(range(n)), [limit] * n, [0] * n
+    return specs, [limit] * n, [0] * n
 
 
 BAR_3 = 1.0 / 3 + SATISFIED_EPS
@@ -577,9 +557,10 @@ class TestRateKernel:
         # From Python 3.12 the builtin sum() of floats is compensated:
         # 0.1 + 0.2 + 0.3 totals 0.6 there, 0.6000000000000001 left to
         # right.  Give the reference modules that sum() on any version;
-        # a shared context filling 0.1/0.2/0.3 next to an unsatisfied
-        # one (pass 2 scales by fill / want), with intensities
-        # 0.1/0.1/0.1/0.9, must still match the kernel bit for bit.
+        # four kernels water-filled over the GPU (0.1 and 0.2 granted
+        # whole, 0.3 in the second round, 0.9 the rest), with
+        # intensities 0.1/0.2/0.3/0.1 whose pressures fall below the
+        # clamp at 1.0, must still match the kernel bit for bit.
         def compensated_sum(values, start=0):
             total, compensation = float(start), 0.0
             for value in values:
@@ -591,16 +572,17 @@ class TestRateKernel:
                 total = step
             return total + compensation
 
+        intensities = [0.1, 0.2, 0.3, 0.1]
         assert compensated_sum([0.1, 0.2, 0.3]) != (0.1 + 0.2) + 0.3
+        assert compensated_sum(intensities) != ((0.1 + 0.2) + 0.3) + 0.1
         monkeypatch.setattr(hwsched_mod, "sum", compensated_sum, raising=False)
         monkeypatch.setattr(interference_mod, "sum", compensated_sum, raising=False)
         specs = [
             KernelSpec(name=f"k{i}", base_duration_us=100.0, sm_demand=d,
                        mem_intensity=m, serial_fraction=0.1)
-            for i, (d, m) in enumerate([(0.1, 0.1), (0.2, 0.1), (0.3, 0.1), (0.9, 0.9)])
+            for i, (d, m) in enumerate(zip([0.1, 0.2, 0.3, 0.9], intensities))
         ]
-        running = (specs, [0, 0, 0, 1], [1.0, 1.0], [0, 0])
-        got, want = kernel_rates(*running)
+        got, want = kernel_rates(specs, [1.0] * 4, [0] * 4)
         assert got == want
 
 
@@ -642,33 +624,6 @@ class TestRatesL2:
                 assert kernels_in_l2_key(key) <= 2, key
             widest.clear()
 
-    @pytest.mark.parametrize("shared_first", [True, False])
-    def test_shared_and_distinct_context_pairs_never_alias(
-        self, monkeypatch, shared_first
-    ):
-        # Two kernels at one limit have the same rows whether they share
-        # a context (one limit split between them) or not (a limit
-        # each), so the pair key must tell the two apart.
-        monkeypatch.setattr(engine_mod, "_rates_l2", {})
-
-        def finish_times(engine_cls, shared):
-            engine, registry = make_engine(engine_cls)
-            first = registry.create("a", 0.5, charge_memory=False)
-            second = first if shared else registry.create("b", 0.5, charge_memory=False)
-            finished = []
-            for ctx in (first, second):
-                kernel = KernelInstance(compute(dur=100.0, demand=0.4, mem=0.3))
-                engine.launch(
-                    kernel, engine.create_queue(ctx), launch_overhead=0.0,
-                    on_finish=lambda k: finished.append(engine.now),
-                )
-            engine.run()
-            return finished
-
-        order = (True, False) if shared_first else (False, True)
-        for shared in order:
-            assert finish_times(SimEngine, shared) == finish_times(OracleEngine, shared)
-
 
 # ----------------------------------------------------------------------
 # validate=True checks the loop that ships
@@ -695,7 +650,7 @@ def validate_every_engine(monkeypatch):
     compute_rates = SimEngine._compute_rates
 
     def classified(self, rows):
-        shapes[rate_shape(self, rows)] += 1
+        shapes[rate_shape(rows)] += 1
         return compute_rates(self, rows)
 
     checks = []
@@ -753,15 +708,14 @@ GOLDEN_FIG13 = GOLDEN_DIR / "fig13_inference_small.json"
 
 
 class TestValidateOnShippedPath:
-    @pytest.mark.parametrize("hw_policy", ["fair", "fifo"])
     @pytest.mark.parametrize(
         "make_system", [BlessRuntime, GSLICESystem, REEFPlusSystem]
     )
-    def test_validate_changes_nothing(self, make_system, hw_policy):
+    def test_validate_changes_nothing(self, make_system):
         # validate checks the same loop instead of switching to another
         # one, so even the engine_* counters match.
-        plain = mix_metrics(make_system(hw_policy=hw_policy))
-        checked = mix_metrics(make_system(hw_policy=hw_policy, validate=True))
+        plain = mix_metrics(make_system())
+        checked = mix_metrics(make_system(validate=True))
         assert checked == plain
         assert plain["engine_rebalances"] > 0
 
@@ -813,8 +767,7 @@ class TestValidateOnShippedPath:
         # Every engine built during the replay, the ISO partitions' and
         # the profiler's included, checks each rebalance against the
         # reference pipeline; the golden must come back byte for byte,
-        # with each inline shape of the rate kernel exercised (shared
-        # contexts do not occur here; TestRateKernel draws them).
+        # with each shape of the rate kernel exercised.
         from repro.experiments.fig13_overall import run_inference
 
         shapes, checks = validate_every_engine(monkeypatch)
@@ -835,14 +788,10 @@ class TestValidateOnShippedPath:
         assert len(checks) > sum(shapes.values()) > 0
 
 
-def rate_shape(engine, rows):
-    """Which path of the rate kernel prices this running set, a context
-    per kernel: the fit (one level, every want granted whole), the
-    water-fill of one level, or of several levels (REEF+); otherwise
-    the scheduler's grouping of shared contexts."""
-    cids = engine._running_cids
-    if len(set(cids)) < len(cids):
-        return "shared"
+def rate_shape(rows):
+    """Which path of the rate kernel prices this running set: the fit
+    (one level, every want granted whole), the water-fill of one level,
+    or of several levels (REEF+)."""
     if len({row[0] for row in rows}) > 1:
         return "levels"
     wants = [row[2] for row in rows]

@@ -345,16 +345,11 @@ class TestCompositeBaselinesWithGateway:
 
 
 class TestNoGatewayByteIdentity:
-    @pytest.mark.parametrize("hw_policy", ["fair", "fifo"])
-    def test_engine_matches_oracle(self, hw_policy, monkeypatch):
+    def test_engine_matches_oracle(self, monkeypatch):
         apps = symmetric_pair("R50")
-        result = BlessRuntime(hw_policy=hw_policy).serve(
-            bind_load(apps, "A", requests=6)
-        )
+        result = BlessRuntime().serve(bind_load(apps, "A", requests=6))
         monkeypatch.setattr(baselines_base, "SimEngine", OracleEngine)
-        reference = BlessRuntime(hw_policy=hw_policy).serve(
-            bind_load(apps, "A", requests=6)
-        )
+        reference = BlessRuntime().serve(bind_load(apps, "A", requests=6))
         assert fingerprint(result, semantic_only=True) == fingerprint(
             reference, semantic_only=True
         )

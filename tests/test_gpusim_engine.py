@@ -98,15 +98,22 @@ class TestConcurrency:
         # Combined demand fits the GPU: both at full speed.
         assert engine.now == pytest.approx(100.0)
 
-    def test_same_context_two_queues_share_limit(self):
+    def test_one_live_queue_per_context(self):
         engine, registry = make_engine()
         ctx = registry.create("a", 0.5, charge_memory=False)
-        qa, qb = engine.create_queue(ctx), engine.create_queue(ctx)
-        engine.launch(KernelInstance(compute(demand=0.5)), qa, launch_overhead=0.0)
-        engine.launch(KernelInstance(compute(demand=0.5)), qb, launch_overhead=0.0)
+        queue = engine.create_queue(ctx)
+        with pytest.raises(ValueError, match="live queue"):
+            engine.create_queue(ctx)
+        # A context freed by remove_queue takes a new queue, which runs.
+        engine.remove_queue(queue)
+        fresh = engine.create_queue(ctx)
+        engine.launch(KernelInstance(compute(demand=0.5)), fresh, launch_overhead=0.0)
         engine.run()
-        # The two kernels jointly capped at 0.5 -> each ~0.25.
-        assert engine.now > 180.0
+        assert engine.now == pytest.approx(100.0)
+        assert engine.queues == [fresh]
+        # So does one freed by kill_context.
+        engine.kill_context(ctx)
+        assert engine.create_queue(ctx).context is ctx
 
 
 class TestMemcpyAndPcie:
@@ -190,12 +197,6 @@ class TestUtilizationAccounting:
         engine.run()
         assert engine.utilization() == pytest.approx(0.5)
 
-    def test_busy_sm_time_integral(self):
-        engine, registry = make_engine()
-        queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
-        engine.launch(KernelInstance(compute(dur=100.0, demand=0.5)), queue, launch_overhead=0.0)
-        engine.run()
-        assert engine.busy_sm_time == pytest.approx(50.0)
 
 
 class TestTimeline:

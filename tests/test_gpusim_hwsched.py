@@ -1,31 +1,28 @@
-"""Unit tests for the hardware scheduler's SM allocation policies."""
+"""Unit tests for the hardware scheduler's SM allocation."""
 
 import pytest
 
 from repro.gpusim.context import GPUContext
-from repro.gpusim.hwsched import HardwareScheduler, waterfill
+from repro.gpusim.hwsched import allocate, waterfill
 from repro.gpusim.kernel import KernelInstance, KernelSpec
 from repro.gpusim.stream import DeviceQueue
 
 
-def running_kernel(demand, ctx, start=0.0):
+def running_kernel(demand, ctx):
     spec = KernelSpec(name="k", base_duration_us=100.0, sm_demand=demand)
     inst = KernelInstance(spec)
-    inst.start_time = start
-    queue = DeviceQueue(context=ctx)
-    return inst, queue
+    inst.queue = DeviceQueue(context=ctx)
+    return inst
 
 
-def setup(demands_limits, policy="fair"):
-    """demands_limits: list of (demand, context_limit, start_time)."""
-    sched = HardwareScheduler(policy=policy)
-    running, queues = [], {}
-    for i, (demand, limit, start) in enumerate(demands_limits):
-        ctx = GPUContext(context_id=i, owner=f"o{i}", sm_limit=limit)
-        kernel, queue = running_kernel(demand, ctx, start)
-        running.append(kernel)
-        queues[kernel.uid] = queue
-    return sched, running, queues
+def setup(demands_limits):
+    """demands_limits: list of (demand, context_limit), one context each."""
+    return [
+        running_kernel(
+            demand, GPUContext(context_id=i, owner=f"o{i}", sm_limit=limit)
+        )
+        for i, (demand, limit) in enumerate(demands_limits)
+    ]
 
 
 class TestWaterfill:
@@ -54,45 +51,27 @@ class TestWaterfill:
 
 class TestFairPolicy:
     def test_respects_context_limit(self):
-        sched, running, queues = setup([(1.0, 0.25, 0.0)])
-        [alloc] = sched.allocate(running, queues)
+        [alloc] = allocate(setup([(1.0, 0.25)]))
         assert alloc.sm_fraction == pytest.approx(0.25)
 
     def test_two_contexts_share_gpu(self):
-        sched, running, queues = setup([(1.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-        allocs = sched.allocate(running, queues)
+        allocs = allocate(setup([(1.0, 1.0), (1.0, 1.0)]))
         assert sorted(a.sm_fraction for a in allocs) == pytest.approx([0.5, 0.5])
 
     def test_fitting_demands_both_satisfied(self):
-        sched, running, queues = setup([(0.3, 1.0, 0.0), (0.6, 1.0, 0.0)])
-        allocs = {a.kernel.uid: a.sm_fraction for a in sched.allocate(running, queues)}
-        assert sorted(allocs.values()) == pytest.approx([0.3, 0.6])
+        allocs = allocate(setup([(0.3, 1.0), (0.6, 1.0)]))
+        assert sorted(a.sm_fraction for a in allocs) == pytest.approx([0.3, 0.6])
+
+    def test_one_context_splits_its_limit(self):
+        # The engine never runs two kernels in one context, but the
+        # reference keeps MPS semantics for them.
+        ctx = GPUContext(context_id=0, owner="o", sm_limit=0.5)
+        allocs = allocate([running_kernel(0.5, ctx), running_kernel(0.5, ctx)])
+        assert [a.sm_fraction for a in allocs] == pytest.approx([0.25, 0.25])
 
     def test_empty_running_set(self):
-        sched = HardwareScheduler()
-        assert sched.allocate([], {}) == []
+        assert allocate([]) == []
 
     def test_total_capped_at_one(self):
-        sched, running, queues = setup([(1.0, 0.7, 0.0), (1.0, 0.7, 0.0)])
-        allocs = sched.allocate(running, queues)
+        allocs = allocate(setup([(1.0, 0.7), (1.0, 0.7)]))
         assert sum(a.sm_fraction for a in allocs) <= 1.0 + 1e-9
-
-
-class TestFifoPolicy:
-    def test_earlier_kernel_hogs(self):
-        sched, running, queues = setup(
-            [(0.9, 1.0, 0.0), (0.9, 1.0, 1.0)], policy="fifo"
-        )
-        allocs = {a.kernel.uid: a.sm_fraction for a in sched.allocate(running, queues)}
-        first, second = running
-        assert allocs[first.uid] == pytest.approx(0.9)
-        assert allocs[second.uid] == pytest.approx(0.1)
-
-    def test_context_cap_still_applies(self):
-        sched, running, queues = setup([(1.0, 0.5, 0.0)], policy="fifo")
-        [alloc] = sched.allocate(running, queues)
-        assert alloc.sm_fraction == pytest.approx(0.5)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            HardwareScheduler(policy="bogus")

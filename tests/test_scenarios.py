@@ -115,6 +115,28 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="needs a 'cluster' section"):
             from_dict(minimal_doc(sweep={"cluster.gpus": [2, 4]}))
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"requests": 0}, "'requests'"),
+            ({"requests": True}, "'requests'"),
+            ({"seed": True}, "'seed'"),
+            ({"schema_version": True}, "schema_version"),
+            ({"cluster": {"gpus": True}}, "cluster.gpus"),
+            ({"sweep": {"requests": [0]}}, "'requests'"),
+            ({"sweep": {"requests": [True]}}, "'requests'"),
+            ({"sweep": {"seed": [True]}}, "'seed'"),
+            ({"cluster": {"gpus": 2}, "sweep": {"cluster.gpus": [True]}},
+             "cluster.gpus"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_counts_reject_zero_and_bool(self, overrides, match):
+        # Sweep points are built by dataclasses.replace, so the checks
+        # live in the spec itself and reach them too.
+        with pytest.raises(ScenarioError, match=match):
+            expand_sweep(from_dict(minimal_doc(**overrides)))
+
     def test_bad_yaml_reports_source(self, tmp_path):
         yaml = pytest.importorskip("yaml")  # noqa: F841
         from repro.scenarios import load_scenario
@@ -153,6 +175,12 @@ class TestRegistry:
         assert REGISTRY.resolve("arrivals", "unit_test_binder") is binder
         spec = from_dict(minimal_doc(arrivals="unit_test_binder"))
         assert len(build_bindings(spec)) == 2
+
+    def test_empty_models_named(self):
+        spec = from_dict(minimal_doc(
+            apps={"component": "models", "kwargs": {"models": []}}))
+        with pytest.raises(ScenarioError, match="'models' must list"):
+            resolve_scenario(spec)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown component kind"):

@@ -1,12 +1,8 @@
-"""Application substrate: operator DAGs, model traces, requests."""
+"""Application substrate: model traces, applications, requests."""
 
 from .application import Application, AppKind, Request
-from .dag import CycleError, Operator, OperatorDAG
 from .models import (
     MODEL_NAMES,
-    all_inference_apps,
-    all_training_apps,
-    build_model_dag,
     inference_app,
     microbenchmark_kernel,
     table1_expectation,
@@ -16,15 +12,9 @@ from .models import (
 __all__ = [
     "Application",
     "AppKind",
-    "build_model_dag",
-    "CycleError",
     "inference_app",
     "microbenchmark_kernel",
     "MODEL_NAMES",
-    "all_inference_apps",
-    "all_training_apps",
-    "Operator",
-    "OperatorDAG",
     "Request",
     "table1_expectation",
     "training_app",

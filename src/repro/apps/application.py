@@ -36,9 +36,6 @@ class Application:
     memory_mb: int
     quota: float = 1.0
     app_id: str = ""
-    # CUDA-graph granularity (§6.10): kernel indices at which graphs
-    # start.  When set, schedulers treat each graph as indivisible.
-    graph_boundaries: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
         if not self.kernels:
@@ -80,7 +77,6 @@ class Application:
             memory_mb=self.memory_mb,
             quota=quota,
             app_id=app_id or self.app_id,
-            graph_boundaries=self.graph_boundaries,
         )
 
     def mean_kernel_duration(self) -> float:

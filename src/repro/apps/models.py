@@ -30,7 +30,6 @@ import numpy as np
 
 from ..gpusim.kernel import KernelKind, KernelSpec
 from .application import Application, AppKind
-from .dag import OperatorDAG
 
 MODEL_NAMES: Tuple[str, ...] = ("VGG", "R50", "R101", "NAS", "BERT")
 
@@ -140,14 +139,9 @@ def _synth_compute_kernels(
     ]
 
 
-def build_model_dag(model: str, kind: str = "inference") -> OperatorDAG:
-    """An operator DAG whose linearisation is the model's kernel trace.
-
-    CNNs are near-chains; NasNet gets branchy cells (two parallel arms
-    re-joining), matching its architecture.  The DAG exists so that the
-    launch order provably respects dependencies; schedulers consume the
-    linearised sequence.
-    """
+def _build_application(model: str, kind: str) -> Application:
+    """One request's launch sequence: an H2D upload, the Table-1
+    compute kernels, and a D2H download."""
     table = _TABLE1_INFERENCE if kind == "inference" else _TABLE1_TRAINING
     if model not in table:
         raise KeyError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
@@ -161,48 +155,11 @@ def build_model_dag(model: str, kind: str = "inference") -> OperatorDAG:
         total_us * utilization - h2d.base_duration_us - d2h.base_duration_us
     )
     kernels = _synth_compute_kernels(model, kind, n_kernels, budget, gap_budget)
-
-    dag = OperatorDAG()
-    dag.add_op("input", [h2d])
-    if model == "NAS":
-        # Branchy cells: kernels grouped in cells of 8, two arms per cell.
-        prev = "input"
-        cell = 0
-        i = 0
-        while i < len(kernels):
-            chunk = kernels[i : i + 8]
-            left, right = chunk[: len(chunk) // 2], chunk[len(chunk) // 2 :]
-            left_name, right_name = f"cell{cell}-a", f"cell{cell}-b"
-            join_name = f"cell{cell}-join"
-            dag.add_op(left_name, left, deps=[prev])
-            dag.add_op(right_name, right, deps=[prev])
-            dag.add_op(join_name, [], deps=[left_name, right_name])
-            prev = join_name
-            cell += 1
-            i += 8
-        dag.add_op("output", [d2h], deps=[prev])
-    else:
-        prev = "input"
-        layer = 0
-        i = 0
-        while i < len(kernels):
-            chunk = kernels[i : i + 4]
-            name = f"layer{layer}"
-            dag.add_op(name, chunk, deps=[prev])
-            prev = name
-            layer += 1
-            i += 4
-        dag.add_op("output", [d2h], deps=[prev])
-    return dag
-
-
-def _build_application(model: str, kind: str) -> Application:
-    dag = build_model_dag(model, kind)
     memory = _MEMORY_MB_INFERENCE if kind == "inference" else _MEMORY_MB_TRAINING
     return Application(
         name=f"{model}-{kind[:3]}",
         kind=AppKind.INFERENCE if kind == "inference" else AppKind.TRAINING,
-        kernels=dag.kernel_sequence(),
+        kernels=[h2d, *kernels, d2h],
         memory_mb=memory[model],
     )
 
@@ -224,14 +181,6 @@ def training_app(model: str) -> Application:
     if key not in _cache:
         _cache[key] = _build_application(model, "training")
     return _cache[key]
-
-
-def all_inference_apps() -> List[Application]:
-    return [inference_app(m) for m in MODEL_NAMES]
-
-
-def all_training_apps() -> List[Application]:
-    return [training_app(m) for m in MODEL_NAMES]
 
 
 def table1_expectation(model: str, kind: str = "inference") -> Tuple[float, int]:

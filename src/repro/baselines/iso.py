@@ -32,22 +32,32 @@ class ISOSystem(SharingSystem):
         raise AssertionError("ISOSystem overrides serve()")
 
     def serve(self, bindings: Sequence[WorkloadBinding]) -> ServingResult:
-        # Each partition serves on a private engine; the sub-results
-        # merge as slices of ONE GPU (num_slots=1), and the merge layer
-        # keeps every sub-engine's extras (fault/engine counters) so
-        # the completed + shed == arrived invariant holds for ISO too.
-        results = []
-        for binding in bindings:
-            sub = GSLICESystem(
-                gpu_spec=self.gpu_spec, fault_plan=self.fault_plan, slo=self.slo
-            )
-            results.append(sub.serve([binding]))
-        merged = ServingResult.merge(results, system=self.name, num_slots=1)
-        # A fresh registry holds the merged tallies, so the composite's
-        # extras is its registry's scalar view, as for any other system.
-        self.obs = Observability(self._trace_flag)
-        self.obs.registry.import_mapping("", merged.extras)
-        return merged
+        return serve_isolated(self, bindings)
+
+
+def serve_isolated(
+    system: SharingSystem, bindings: Sequence[WorkloadBinding]
+) -> ServingResult:
+    """Serve each binding alone on a private engine, as ``system``.
+
+    Each binding is served at its own quota by a private
+    :class:`GSLICESystem`; the sub-results merge as slices of ONE GPU
+    (num_slots=1), and the merge layer keeps every sub-engine's extras
+    (fault/engine counters) so the completed + shed == arrived
+    invariant holds for the composite too.  ``system.obs`` becomes a
+    fresh registry holding the merged tallies, so the composite's
+    extras is its registry's scalar view, as for any other system.
+    """
+    results = [
+        GSLICESystem(
+            gpu_spec=system.gpu_spec, fault_plan=system.fault_plan, slo=system.slo
+        ).serve([binding])
+        for binding in bindings
+    ]
+    merged = ServingResult.merge(results, system=system.name, num_slots=1)
+    system.obs = Observability(system._trace_flag)
+    system.obs.registry.import_mapping("", merged.extras)
+    return merged
 
 
 def iso_targets_us(

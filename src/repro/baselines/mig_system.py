@@ -14,10 +14,9 @@ from typing import Sequence
 
 from ..gpusim import mig
 from ..metrics.stats import ServingResult
-from ..obs import Observability
 from ..workloads.suite import WorkloadBinding
 from .base import SharingSystem
-from .gslice import GSLICESystem
+from .iso import serve_isolated
 
 
 class MIGSystem(SharingSystem):
@@ -33,27 +32,18 @@ class MIGSystem(SharingSystem):
 
     def serve(self, bindings: Sequence[WorkloadBinding]) -> ServingResult:
         instances = mig.assign_slices([b.app.quota for b in bindings])
-        results = []
-        for binding, instance in zip(bindings, instances):
-            # Physically isolated: serve on a private engine whose
-            # partition equals the slice's compute share.  MIG slices
-            # also have private bandwidth, which a solo run already has.
-            sliced = binding.app.with_quota(instance.sm_fraction)
-            sub = GSLICESystem(
-                gpu_spec=self.gpu_spec, fault_plan=self.fault_plan, slo=self.slo
+        # Physically isolated: each app serves alone at its slice's
+        # compute share.  MIG slices also have private bandwidth, which
+        # a solo run already has.
+        sliced = [
+            WorkloadBinding(
+                app=binding.app.with_quota(instance.sm_fraction),
+                process_factory=binding.process_factory,
             )
-            results.append(
-                sub.serve(
-                    [WorkloadBinding(app=sliced, process_factory=binding.process_factory)]
-                )
-            )
-        # Slices of ONE physical GPU: merge with num_slots=1.  The merge
-        # layer carries every sub-engine's extras (previously only the
-        # engine_* counters survived, dropping the fault accounting).
-        merged = ServingResult.merge(results, system=self.name, num_slots=1)
-        self.obs = Observability(self._trace_flag)
+            for binding, instance in zip(bindings, instances)
+        ]
+        merged = serve_isolated(self, sliced)
         reg = self.obs.registry
-        reg.import_mapping("", merged.extras)
         reg.set("slices", sum(instance.compute_slices for instance in instances))
         merged.extras = reg.scalars()
         return merged

@@ -22,7 +22,12 @@ IDLE_YIELD_US = 100.0
 
 
 class TemporalSystem(SharingSystem):
-    """Quota-proportional round-robin time slicing."""
+    """Quota-proportional round-robin time slicing.
+
+    Slices rotate in registration order (the order of the bindings),
+    starting at the first client to activate; of two requests arriving
+    at the same instant, the first-registered client's activates first.
+    """
 
     name = "TEMPORAL"
 

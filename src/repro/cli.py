@@ -37,6 +37,7 @@ from .apps.models import MODEL_NAMES, inference_app, training_app
 from .core.profiler import OfflineProfiler
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import INFERENCE_SYSTEMS
+from .gpusim.device import GPUSpec
 from .metrics.io import save_results
 from .viz.charts import bar_chart, reduction_table
 from .viz.timeline import render_timeline
@@ -579,8 +580,9 @@ def cmd_profile(args) -> int:
     print(f"profiling cost: {profile.profiling_cost_us / 1e6:.2f} s "
           f"({profile.num_partitions} partitioned runs)")
     print(f"\n{'partition':>9s} {'SMs':>5s} {'T[n%] (ms)':>11s}")
+    gpu = GPUSpec()
     for partition in args.partitions:
-        sms = round(partition / n * 108)
+        sms = gpu.sm_count(partition / n)
         print(f"{partition:9d} {sms:5d} {profile.iso_latency(partition) / 1000:11.2f}")
     return 0
 

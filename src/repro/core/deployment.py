@@ -12,8 +12,8 @@ Before accepting a set of applications onto one GPU, BLESS checks:
 Placement scores many candidate groups against the same apps, so each
 app's compute-kernel duration stats are computed once and kept on the
 instance, next to the kernel list they were computed from: a copy with
-another trace (a CUDA-graph or rescaled copy under the same name) is
-another instance with another list, and gets its own stats.
+another trace (a rescaled copy under the same name) is another
+instance with another list, and gets its own stats.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ deployment: a module-level table maps an app's *content* — its name,
 kernel trace, memory footprint and the partition grid — to its
 :class:`AppProfile`, and :meth:`OfflineProfiler.profile` computes a
 profile only when that table misses.  The key is the kernel trace, not
-the name, because rescaled (Fig. 19(c)) and graph-granular (§6.10)
-copies keep the name while changing the kernels.  Profiles are
+the name, because rescaled copies (Fig. 19(c)) keep the name while
+changing the kernels.  Profiles are
 analytic, so profiling a trace again would give the same tables: every
 profiler, and so every per-GPU runtime of a cluster run, shares the
 table.  A second, identity-keyed index in front of it spares hashing a

@@ -30,7 +30,6 @@ from typing import (
 
 from ..apps.application import Request
 from .config import BlessConfig
-from .graphs import graph_end
 from .progress import RequestProgress
 
 if TYPE_CHECKING:
@@ -82,8 +81,8 @@ class KernelSquad:
         Per app: the profiled model, its provisioned quota, its
         kernel-index window (which, given the profile, fixes the
         per-kernel duration vector exactly) and the profile's content
-        ``digest`` (so a same-named app with another trace, such as its
-        CUDA-graph variant, gets its own key); globally: ``K``, ``N``
+        ``digest`` (so a same-named app with another trace gets its own
+        key); globally: ``K``, ``N``
         and the search knobs.  The per-app terms are sorted, so the key
         is independent of both squad insertion order and client
         identity: two clients serving the same model at the same quota
@@ -178,20 +177,12 @@ def generate_squad(
         request = chosen.request
         app = request.app
         index = request.next_kernel
-        end = index + 1
-        count = len(app.kernels)
-        boundaries = app.graph_boundaries
-        if boundaries is not None:
-            # CUDA-graph granularity (§6.10): graphs are indivisible —
-            # take every kernel to the end of the current graph.
-            end = graph_end(boundaries, index, count)
-        indices = squad.add(request, range(index, end)).kernel_indices
+        indices = squad.add(request, (index,)).kernel_indices
         if solo:
-            for cost in chosen.plan.solo_step_us[index:end]:
-                accumulated_us += cost
-        request.next_kernel = end
-        total += end - index
-        if total >= limit or end >= count:
+            accumulated_us += chosen.plan.solo_step_us[index]
+        request.next_kernel = index + 1
+        total += 1
+        if total >= limit or index + 1 >= len(app.kernels):
             break
         if solo and accumulated_us >= config.solo_squad_budget_us:
             break

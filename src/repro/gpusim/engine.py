@@ -302,18 +302,8 @@ class SimEngine:
         return event
 
     def schedule_at(self, time: float, callback: EventCallback) -> _Event:
-        # Inlined schedule(max(0.0, time - now)) — same arithmetic, so
-        # event times stay bit-identical, without the extra call.
-        now = self.now
-        delay = time - now
-        if delay < 0.0:
-            delay = 0.0
-        event = _Event(now + delay, next(self._event_seq), callback)
-        heap = self._heap
-        heapq.heappush(heap, (event.time, event.seq, event))
-        if len(heap) > self._peak_heap_size:
-            self._peak_heap_size = len(heap)
-        return event
+        """Run ``callback`` at ``time``, or now if ``time`` has passed."""
+        return self.schedule(max(0.0, time - self.now), callback)
 
     def cancel(self, event: _Event) -> None:
         """Lazy-cancel: the event is dropped when popped, or swept out
@@ -1058,45 +1048,38 @@ class SimEngine:
         memcpy = self._running_memcpy
         finished_compute = []
         finished_memcpy = []
+        # At dt == 0 the sweep stores each kernel's work back unchanged
+        # and only collects the finishers.
+        for index, k in enumerate(running_compute):
+            rate = k.current_rate
+            left = k.remaining_work - rate * dt
+            if left <= 0.0:
+                k.remaining_work = 0.0
+                finished_compute.append((index, k))
+            else:
+                k.remaining_work = left
+                if left <= 1e-9 or left <= rate * time_eps:
+                    finished_compute.append((index, k))
+        for k in memcpy:
+            rate = k.current_rate
+            left = k.remaining_work - rate * dt
+            if left <= 0.0:
+                k.remaining_work = 0.0
+                finished_memcpy.append(k)
+            else:
+                k.remaining_work = left
+                if left <= 1e-9 or left <= rate * time_eps:
+                    finished_memcpy.append(k)
         if dt > 0:
             advanced = len(running_compute) + len(memcpy)
             self._epoch_batches += 1
             self._epoch_kernels_advanced += advanced
             if advanced > self._epoch_max_batch:
                 self._epoch_max_batch = advanced
-            for index, k in enumerate(running_compute):
-                rate = k.current_rate
-                left = k.remaining_work - rate * dt
-                if left <= 0.0:
-                    k.remaining_work = 0.0
-                    finished_compute.append((index, k))
-                else:
-                    k.remaining_work = left
-                    if left <= 1e-9 or left <= rate * time_eps:
-                        finished_compute.append((index, k))
-            for k in memcpy:
-                rate = k.current_rate
-                left = k.remaining_work - rate * dt
-                if left <= 0.0:
-                    k.remaining_work = 0.0
-                    finished_memcpy.append(k)
-                else:
-                    k.remaining_work = left
-                    if left <= 1e-9 or left <= rate * time_eps:
-                        finished_memcpy.append(k)
             self._busy_integral += self._current_busy_fraction * dt
             if self.record_timeline:
                 self._record_segment_end()
             self._busy_since = now
-        else:
-            for index, k in enumerate(running_compute):
-                left = k.remaining_work
-                if left <= 1e-9 or left <= k.current_rate * time_eps:
-                    finished_compute.append((index, k))
-            for k in memcpy:
-                left = k.remaining_work
-                if left <= 1e-9 or left <= k.current_rate * time_eps:
-                    finished_memcpy.append(k)
         removed = 0
         for index, kernel in finished_compute:
             # Its sweep position, less the finishers removed before it,

@@ -135,17 +135,6 @@ class KernelSpec:
             return 1.0
         return self.base_duration_us / self.duration_at(sm_fraction)
 
-    def bandwidth_demand(self, sm_fraction: float) -> float:
-        """Memory-bandwidth demand while running on ``sm_fraction`` SMs.
-
-        Bandwidth consumption scales with the rate the kernel actually
-        executes at: a kernel squeezed to half speed issues half the
-        memory traffic per unit time.
-        """
-        if not self.is_compute:
-            return 0.0
-        return self.mem_intensity * self.rate_at(sm_fraction)
-
 
 _instance_counter = itertools.count()
 

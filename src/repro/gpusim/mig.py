@@ -37,10 +37,6 @@ class MIGInstance:
     def sm_fraction(self) -> float:
         return self.compute_slices / MIG_COMPUTE_SLICES
 
-    @property
-    def bandwidth_fraction(self) -> float:
-        return self.memory_slices / 8.0
-
 
 def nearest_profile(quota: float) -> MIGInstance:
     """Smallest MIG profile whose compute share covers ``quota``.

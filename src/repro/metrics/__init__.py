@@ -1,6 +1,6 @@
 """Metrics: latency stats, ISO deviation, result I/O."""
 
-from .deviation import average_deviation_us, latency_deviation_us, speedup_vs_iso
+from .deviation import latency_deviation_us
 from .io import (
     compare_results,
     load_result,
@@ -13,11 +13,9 @@ from .stats import (
     RequestRecord,
     ServingResult,
     qos_violation_rate,
-    summarize,
 )
 
 __all__ = [
-    "average_deviation_us",
     "compare_results",
     "FaultStats",
     "latency_deviation_us",
@@ -28,6 +26,4 @@ __all__ = [
     "save_result",
     "save_results",
     "ServingResult",
-    "speedup_vs_iso",
-    "summarize",
 ]

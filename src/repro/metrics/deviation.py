@@ -15,9 +15,7 @@ measures a system's flexibility (Fig. 14).
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from .stats import ServingResult
 
@@ -37,30 +35,3 @@ def latency_deviation_us(
             continue
         total += max(mean - target, 0.0)
     return total
-
-
-def average_deviation_us(
-    results: Sequence[ServingResult],
-    iso_targets: Sequence[Mapping[str, float]],
-) -> float:
-    """Mean deviation over several (run, target-set) pairs (Fig. 14)."""
-    if len(results) != len(iso_targets):
-        raise ValueError("results and iso_targets must align")
-    if not results:
-        return 0.0
-    values = [
-        latency_deviation_us(result, targets)
-        for result, targets in zip(results, iso_targets)
-    ]
-    return float(np.mean(values))
-
-
-def speedup_vs_iso(
-    result: ServingResult, iso_targets_us: Mapping[str, float]
-) -> Dict[str, float]:
-    """Per-app ``iso_latency / achieved_latency`` (>1 means faster)."""
-    speedups = {}
-    for app_id, mean in result.per_app_mean_latency().items():
-        target = iso_targets_us[app_id]
-        speedups[app_id] = target / mean if mean > 0 else float("inf")
-    return speedups

@@ -350,16 +350,3 @@ def qos_violation_rate(
     if total == 0:
         return 0.0
     return violated / total
-
-
-def summarize(results: Sequence[ServingResult]) -> str:
-    """A compact table of per-system average latencies (for harness output)."""
-    lines = []
-    for result in results:
-        per_app = result.per_app_mean_latency()
-        apps = ", ".join(f"{a}={v / 1000:.2f}ms" for a, v in per_app.items())
-        lines.append(
-            f"{result.system:<10} avg={result.mean_of_app_means() / 1000:7.2f}ms "
-            f"util={result.utilization:5.1%}  [{apps}]"
-        )
-    return "\n".join(lines)

@@ -1,13 +1,11 @@
 """Terminal visualisation: execution timelines and figure-style charts."""
 
-from .charts import bar_chart, line_sweep, reduction_table, scatter
-from .timeline import TimelineView, bubble_profile, bucketise, render_timeline
+from .charts import bar_chart, reduction_table, scatter
+from .timeline import TimelineView, bucketise, render_timeline
 
 __all__ = [
     "bar_chart",
-    "bubble_profile",
     "bucketise",
-    "line_sweep",
     "reduction_table",
     "render_timeline",
     "scatter",

@@ -63,47 +63,6 @@ def scatter(
     return "\n".join(lines)
 
 
-def line_sweep(
-    series: Mapping[str, Mapping[float, float]],
-    width: int = 60,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """Overlayed line sweeps (Fig. 19-style): x -> y per named series."""
-    if not series:
-        raise ValueError("no series to plot")
-    all_x = sorted({x for s in series.values() for x in s})
-    all_y = [y for s in series.values() for y in s.values()]
-    if not all_x or not all_y:
-        raise ValueError("series are empty")
-    y_lo, y_hi = min(all_y), max(all_y)
-    span = (y_hi - y_lo) or 1.0
-    glyphs = "oxv*+#"
-    grid = [[" "] * width for _ in range(height)]
-    for index, (name, points) in enumerate(series.items()):
-        glyph = glyphs[index % len(glyphs)]
-        for x, y in points.items():
-            col = min(
-                width - 1,
-                int((all_x.index(x) / max(1, len(all_x) - 1)) * (width - 1)),
-            )
-            row = min(height - 1, int((y - y_lo) / span * (height - 1)))
-            grid[height - 1 - row][col] = glyph
-    lines = [title] if title else []
-    lines.append(f"{y_hi:10.2f} ┤")
-    for row in grid:
-        lines.append("           │" + "".join(row))
-    lines.append(f"{y_lo:10.2f} └" + "─" * width)
-    lines.append(
-        "           x: " + ", ".join(f"{x:g}" for x in all_x)
-    )
-    legend = "  ".join(
-        f"{glyphs[i % len(glyphs)]}={name}" for i, name in enumerate(series)
-    )
-    lines.append("           " + legend)
-    return "\n".join(lines)
-
-
 def reduction_table(
     baseline_ms: Mapping[str, float],
     target: str = "BLESS",

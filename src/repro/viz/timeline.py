@@ -120,14 +120,3 @@ def render_timeline(
     }
     total_lane = "".join(_shade(min(1.0, v)) for v in total)
     return TimelineView(start_us=lo, end_us=hi, width=width, lanes=lanes, total=total_lane)
-
-
-def bubble_profile(
-    timeline: Sequence[TimelineSegment],
-    start_us: float,
-    end_us: float,
-    width: int = 80,
-) -> List[float]:
-    """Idle-GPU fraction per bucket — the bubbles, ready to plot."""
-    _, total = bucketise(timeline, start_us, end_us, width)
-    return [max(0.0, 1.0 - min(1.0, v)) for v in total]

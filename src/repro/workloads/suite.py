@@ -188,16 +188,6 @@ def symmetric_pair(model: str, quota_a: float = 0.5, quota_b: float = 0.5) -> Li
     ]
 
 
-def asymmetric_pair(model: str, quota_a: float = 0.5, quota_b: float = 0.5) -> List[Application]:
-    """R50 paired with ``model`` (the 'R50 + 4 others' deployments)."""
-    first = inference_app("R50")
-    second = inference_app(model)
-    return [
-        first.with_quota(quota_a, app_id=f"{first.name}#1"),
-        second.with_quota(quota_b, app_id=f"{second.name}#2"),
-    ]
-
-
 def mutual_pairs() -> List[Tuple[str, str]]:
     """All 10 unordered pairs of distinct Table-1 models (load D)."""
     return list(itertools.combinations(MODEL_NAMES, 2))

@@ -1,14 +1,11 @@
-"""Unit tests for the application substrate: DAGs, models, requests."""
+"""Unit tests for the application substrate: models, applications, requests."""
 
 import pytest
 
 from repro.apps.application import Application, AppKind, Request
-from repro.apps.dag import CycleError, OperatorDAG
 from repro.apps.models import (
     MODEL_NAMES,
-    all_inference_apps,
-    all_training_apps,
-    build_model_dag,
+    _build_application,
     inference_app,
     microbenchmark_kernel,
     table1_expectation,
@@ -19,59 +16,6 @@ from repro.gpusim.kernel import KernelKind, KernelSpec
 
 def spec(name="k", dur=10.0):
     return KernelSpec(name=name, base_duration_us=dur, sm_demand=0.5)
-
-
-class TestOperatorDAG:
-    def test_chain_linearisation(self):
-        dag = OperatorDAG()
-        dag.add_op("a", [spec("k1")])
-        dag.add_op("b", [spec("k2")], deps=["a"])
-        dag.add_op("c", [spec("k3")], deps=["b"])
-        assert [k.name for k in dag.kernel_sequence()] == ["k1", "k2", "k3"]
-
-    def test_branch_respects_dependencies(self):
-        dag = OperatorDAG()
-        dag.add_op("root", [spec("r")])
-        dag.add_op("left", [spec("l")], deps=["root"])
-        dag.add_op("right", [spec("x")], deps=["root"])
-        dag.add_op("join", [spec("j")], deps=["left", "right"])
-        names = [k.name for k in dag.kernel_sequence()]
-        assert names.index("r") < names.index("l")
-        assert names.index("l") < names.index("j")
-        assert names.index("x") < names.index("j")
-
-    def test_duplicate_operator_rejected(self):
-        dag = OperatorDAG()
-        dag.add_op("a")
-        with pytest.raises(ValueError):
-            dag.add_op("a")
-
-    def test_unknown_dependency_rejected(self):
-        dag = OperatorDAG()
-        with pytest.raises(ValueError):
-            dag.add_op("b", deps=["missing"])
-
-    def test_cycle_detection(self):
-        # Cycles cannot be built through add_op (deps must pre-exist),
-        # so forge one directly.
-        dag = OperatorDAG()
-        dag.add_op("a")
-        dag.add_op("b", deps=["a"])
-        dag.operator("a").deps.append("b")
-        with pytest.raises(CycleError):
-            dag.topological_order()
-
-    def test_deterministic_tie_break(self):
-        dag = OperatorDAG()
-        dag.add_op("z", [spec("kz")])
-        dag.add_op("a", [spec("ka")])
-        # Insertion order, not name order.
-        assert [k.name for k in dag.kernel_sequence()] == ["kz", "ka"]
-
-    def test_contains_and_len(self):
-        dag = OperatorDAG()
-        dag.add_op("a")
-        assert "a" in dag and len(dag) == 1
 
 
 class TestModelTraces:
@@ -90,16 +34,17 @@ class TestModelTraces:
         assert app.solo_span_us / 1000.0 == pytest.approx(expected_ms, rel=1e-6)
 
     def test_traces_are_deterministic(self):
-        a = build_model_dag("R50").kernel_sequence()
-        b = build_model_dag("R50").kernel_sequence()
-        assert [k.base_duration_us for k in a] == [k.base_duration_us for k in b]
+        a = _build_application("R50", "inference").kernels
+        b = _build_application("R50", "inference").kernels
+        assert a == b
 
     def test_apps_are_cached(self):
         assert inference_app("VGG") is inference_app("VGG")
 
     def test_kernel_duration_envelope(self):
         """The paper: kernel durations from 3us to 3ms."""
-        for app in all_inference_apps() + all_training_apps():
+        for app in [maker(m) for maker in (inference_app, training_app)
+                    for m in MODEL_NAMES]:
             for kernel in app.kernels:
                 if kernel.is_compute:
                     assert 2.9 <= kernel.base_duration_us <= 3000.1
@@ -118,16 +63,24 @@ class TestModelTraces:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
-            build_model_dag("GPT5")
+            inference_app("GPT5")
 
     def test_microbenchmark_kernel(self):
         k = microbenchmark_kernel(duration_us=50.0, sm_demand=0.3, mem_intensity=0.9)
         assert k.base_duration_us == 50.0
         assert k.mem_intensity == 0.9
 
-    def test_nas_dag_has_branches(self):
-        dag = build_model_dag("NAS")
-        assert any("-a" in op.name for op in dag.topological_order())
+    def test_kernels_are_upload_compute_download(self):
+        """One H2D, then the Table-1 count of compute kernels, then one D2H."""
+        for kind, maker in (("inference", inference_app), ("training", training_app)):
+            for model in MODEL_NAMES:
+                kinds = [k.kind for k in maker(model).kernels]
+                _, n_compute = table1_expectation(model, kind)
+                assert kinds == (
+                    [KernelKind.H2D]
+                    + [KernelKind.COMPUTE] * n_compute
+                    + [KernelKind.D2H]
+                )
 
 
 class TestApplication:
@@ -149,7 +102,7 @@ class TestApplication:
 
     def test_mean_kernel_duration_in_paper_band(self):
         """§4.2.2: average kernel duration 10us..300us."""
-        for app in all_inference_apps():
+        for app in [inference_app(m) for m in MODEL_NAMES]:
             assert 10.0 <= app.mean_kernel_duration() <= 300.0
 
     def test_solo_span_components(self):

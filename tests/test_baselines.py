@@ -157,6 +157,17 @@ class TestTemporal:
         result = TemporalSystem().serve(bind_load(apps, "A", requests=REQUESTS))
         assert result.mean_latency("big") < result.mean_latency("small")
 
+    def test_slices_rotate_in_registration_order(self):
+        """Identical apps arriving together finish in registration
+        order: the first registered gets the first slice, and the
+        rotation follows the binding list, in either order."""
+        apps = [inference_app("R50").with_quota(1 / 3, app_id=i) for i in "abc"]
+        for order in (apps, apps[::-1]):
+            result = TemporalSystem().serve(oneshot_bindings(order))
+            latencies = [result.mean_latency(a.app_id) for a in order]
+            assert latencies == sorted(latencies)
+            assert len(set(latencies)) == 3
+
 
 class TestUnbound:
     def test_solo_request_runs_at_full_speed(self):
@@ -186,6 +197,16 @@ class TestREEFPlus:
         ]
         result = REEFPlusSystem().serve(oneshot_bindings(apps))
         assert result.mean_latency("rt") < 1.45 * inference_app("R50").solo_span_us
+
+    def test_equal_quotas_first_registered_is_rt(self):
+        apps = [inference_app("R50").with_quota(0.5, app_id=i) for i in "ab"]
+        for order in (apps, apps[::-1]):
+            first, second = (a.app_id for a in order)
+            system = REEFPlusSystem()
+            result = system.serve(oneshot_bindings(order))
+            assert system.clients[first].attachments["is_rt"]
+            assert not system.clients[second].attachments["is_rt"]
+            assert result.mean_latency(first) < result.mean_latency(second)
 
 
 class TestZico:

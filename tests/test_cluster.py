@@ -600,13 +600,13 @@ class TestInterferenceEstimator:
         assert est.hits >= 1
 
     def test_same_name_other_trace_not_shared(self):
-        from repro.core.graphs import with_cuda_graphs
+        from .app_variants import other_trace
 
         est = self.make()
         plain = inference_app("R50")
-        graphed = with_cuda_graphs(inference_app("R50"))
-        assert est.profile_signature(plain) != est.profile_signature(graphed)
-        assert est.solo_us(plain) != est.solo_us(graphed)
+        copy = other_trace(inference_app("R50"))
+        assert est.profile_signature(plain) != est.profile_signature(copy)
+        assert est.solo_us(plain) != est.solo_us(copy)
 
 
 class TestPlacementCostModel:

@@ -244,12 +244,12 @@ class TestSignature:
     def test_same_name_other_trace_distinguishes(self):
         """Same name, quota and window, but another trace: another key."""
         a = build_app("a", [100.0, 50.0], [1.0, 1.0], gap=5.0)
-        a_graphed = build_app("a", [100.0, 50.0], [1.0, 1.0], gap=0.0)
+        a_gapless = build_app("a", [100.0, 50.0], [1.0, 1.0], gap=0.0)
         b = build_app("b", [80.0, 40.0], [1.0, 1.0])
         profiler = OfflineProfiler()
         config = BlessConfig()
         keys = []
-        for variant in (a, a_graphed):
+        for variant in (a, a_gapless):
             profiles = {"a": profiler.profile(variant), "b": profiler.profile(b)}
             key = squad_of([(variant, [0, 1]), (b, [0, 1])]).signature(
                 profiles, config

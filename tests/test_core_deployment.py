@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.application import Application, AppKind
-from repro.apps.models import all_inference_apps, inference_app
+from repro.apps.models import MODEL_NAMES, inference_app
 from repro.core.deployment import (
     MAX_DURATION_DISPARITY,
     AdmissionReport,
@@ -76,7 +76,7 @@ class TestKernelCompatibility:
     def test_all_paper_models_co_deployable(self):
         apps = [
             app.with_quota(0.2, app_id=f"{app.name}#{i}")
-            for i, app in enumerate(all_inference_apps())
+            for i, app in enumerate(inference_app(m) for m in MODEL_NAMES)
         ]
         # Large memory total, so only check the duration rules here.
         report = check_admission(apps)

@@ -5,10 +5,11 @@ import pytest
 
 from repro.apps.models import MODEL_NAMES, inference_app, training_app
 from repro.core.config import BlessConfig
-from repro.core.graphs import with_cuda_graphs
 from repro.core.profiler import OfflineProfiler, profile_via_simulation
 from repro.core.runtime import BlessRuntime
 from repro.workloads.suite import bind_closed_loop
+
+from .app_variants import other_trace
 
 
 @pytest.fixture(scope="module")
@@ -84,28 +85,27 @@ class TestProfilerBehaviour:
         assert a is b
 
     def test_same_name_other_trace_gets_its_own_profile(self):
-        """A CUDA-graph copy keeps the app's name but not its trace."""
+        """A copy with fewer dispatch gaps keeps the app's name but not
+        its trace."""
         profiler = OfflineProfiler()
         plain = profiler.profile(inference_app("R50"))
-        graphed = profiler.profile(with_cuda_graphs(inference_app("R50")))
-        assert graphed is not plain
-        assert graphed.digest != plain.digest
+        copy = profiler.profile(other_trace(inference_app("R50")))
+        assert copy is not plain
+        assert copy.digest != plain.digest
 
     def test_runtime_profiles_each_trace_of_one_name(self):
-        """One runtime serving plain and graphed R50 profiles each app
-        from its own kernels."""
+        """One runtime serving R50 and a same-named copy with fewer gaps
+        profiles each app from its own kernels."""
         plain = inference_app("R50").with_quota(0.5, app_id="plain")
-        graphed = with_cuda_graphs(inference_app("R50")).with_quota(
-            0.5, app_id="graphed"
-        )
+        copy = other_trace(inference_app("R50")).with_quota(0.5, app_id="copy")
         runtime = BlessRuntime()
-        runtime.serve(bind_closed_loop([plain, graphed], factor=1.0, requests=2))
-        for app in (plain, graphed):
+        runtime.serve(bind_closed_loop([plain, copy], factor=1.0, requests=2))
+        for app in (plain, copy):
             gaps = runtime.profiles[app.app_id].gaps
             assert gaps.tolist() == [k.dispatch_gap_us for k in app.kernels]
         assert (
             runtime.profiles["plain"].gaps.sum()
-            > runtime.profiles["graphed"].gaps.sum()
+            > runtime.profiles["copy"].gaps.sum()
         )
 
     def test_custom_partition_count(self):

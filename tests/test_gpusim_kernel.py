@@ -107,16 +107,6 @@ class TestRateAndBandwidth:
     def test_rate_below_one_when_starved(self):
         assert make_spec(sm_demand=1.0).rate_at(0.25) < 1.0
 
-    def test_bandwidth_scales_with_rate(self):
-        spec = make_spec(sm_demand=1.0, mem_intensity=0.6)
-        full = spec.bandwidth_demand(1.0)
-        starved = spec.bandwidth_demand(0.5)
-        assert full == pytest.approx(0.6)
-        assert starved < full
-
-    def test_memcpy_has_no_bandwidth_demand(self):
-        assert make_spec(kind=KernelKind.D2H).bandwidth_demand(1.0) == 0.0
-
 
 class TestKernelInstance:
     def test_remaining_work_initialised(self):

@@ -16,7 +16,6 @@ class TestProfiles:
     def test_profile_fractions(self):
         inst = MIGInstance("3g.20gb", 3, 4)
         assert inst.sm_fraction == pytest.approx(3 / 7)
-        assert inst.bandwidth_fraction == pytest.approx(0.5)
 
     def test_profile_table_covers_expected_sizes(self):
         sizes = {compute for _, compute, _ in MIG_PROFILES}

@@ -12,9 +12,9 @@ relabelling every app (new app id and model name, same trace) must give
 the same per-app numbers; and a squad that repeats a signature in
 another insertion order must get exactly the uncached search's answer.
 Two cells co-serve an app with a copy that keeps its model name but
-not its trace (its CUDA-graph variant; a 5% slower rescale), so a key
-that drops the profile digest merges two apps the relabelled run keeps
-apart.
+not its trace (one with fewer dispatch gaps; a 5% slower rescale), so
+a key that drops the profile digest merges two apps the relabelled run
+keeps apart.
 """
 
 import dataclasses
@@ -33,12 +33,13 @@ from repro.catalog.ingest import result_metrics
 from repro.core import configurator, profiler as profiler_module
 from repro.core.config import BlessConfig
 from repro.core.configurator import ExecutionConfigDeterminer
-from repro.core.graphs import with_cuda_graphs
 from repro.core.profiler import OfflineProfiler
 from repro.core.runtime import BlessRuntime
 from repro.core.squad import KernelSquad, SquadEntry
 from repro.gpusim.kernel import KernelSpec
 from repro.workloads.suite import bind_closed_loop
+
+from .app_variants import other_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SEED = 23
@@ -48,7 +49,7 @@ REQUESTS = 4
 
 def cell_specs():
     """``[(label, [(model, variant, quota), ...], factor)]``, seeded;
-    ``variant`` is None, ``"graph"`` or ``"slow"`` (same name, other trace)."""
+    ``variant`` is None, ``"gapless"`` or ``"slow"`` (same name, other trace)."""
     rng = random.Random(SEED)
     cells = []
     for index in range(8):
@@ -59,7 +60,7 @@ def cell_specs():
             for model, weight in zip(models, weights)
         ]
         cells.append((f"mix{index}", members, rng.choice([0.5, 1.0, 2.0])))
-    cells.append(("graph-copy", [("R50", None, 0.5), ("R50", "graph", 0.5)], 1.0))
+    cells.append(("gapless-copy", [("R50", None, 0.5), ("R50", "gapless", 0.5)], 1.0))
     cells.append(("slow-copy", [("VGG", None, 0.5), ("VGG", "slow", 0.5)], 2.0))
     return cells
 
@@ -69,9 +70,8 @@ def cell_apps(members, relabel=False):
     for index, (model, variant, quota) in enumerate(members):
         app = inference_app(model)
         kernels = app.kernels
-        if variant == "graph":
-            app = with_cuda_graphs(app)
-            kernels = app.kernels
+        if variant == "gapless":
+            kernels = other_trace(app).kernels
         elif variant == "slow":
             kernels = [
                 dataclasses.replace(k, base_duration_us=k.base_duration_us * 1.05)
@@ -87,7 +87,6 @@ def cell_apps(members, relabel=False):
             kind=app.kind,
             kernels=kernels,
             memory_mb=app.memory_mb,
-            graph_boundaries=app.graph_boundaries,
         )
         apps.append(app.with_quota(quota, app_id=app_id))
     return apps

@@ -5,17 +5,8 @@ import math
 import pytest
 
 from repro.analysis.bubbles import _merge_windows
-from repro.metrics.deviation import (
-    average_deviation_us,
-    latency_deviation_us,
-    speedup_vs_iso,
-)
-from repro.metrics.stats import (
-    RequestRecord,
-    ServingResult,
-    qos_violation_rate,
-    summarize,
-)
+from repro.metrics.deviation import latency_deviation_us
+from repro.metrics.stats import RequestRecord, ServingResult, qos_violation_rate
 
 
 def make_result(records):
@@ -60,10 +51,6 @@ class TestServingResult:
         assert result.count() == 2
         assert result.count("a") == 1
 
-    def test_summarize_renders(self):
-        text = summarize([make_result([("a", 0, 1000.0)])])
-        assert "X" in text and "a=" in text
-
 
 class TestQoSViolation:
     def test_counts_only_targeted_apps(self):
@@ -95,20 +82,6 @@ class TestDeviation:
         result = make_result([("a", 0, 10.0)])
         with pytest.raises(KeyError):
             latency_deviation_us(result, {})
-
-    def test_average_deviation(self):
-        r1 = make_result([("a", 0, 10.0)])
-        r2 = make_result([("a", 0, 30.0)])
-        targets = {"a": 20.0}
-        assert average_deviation_us([r1, r2], [targets, targets]) == pytest.approx(5.0)
-
-    def test_average_deviation_alignment_check(self):
-        with pytest.raises(ValueError):
-            average_deviation_us([make_result([("a", 0, 1)])], [])
-
-    def test_speedup(self):
-        result = make_result([("a", 0, 10.0)])
-        assert speedup_vs_iso(result, {"a": 20.0}) == {"a": pytest.approx(2.0)}
 
 
 class TestBubbles:

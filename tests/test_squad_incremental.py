@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.application import Request
 from repro.apps.models import MODEL_NAMES, inference_app
 from repro.core.config import BlessConfig
-from repro.core.graphs import graph_end, with_cuda_graphs
 from repro.core.profiler import OfflineProfiler
 from repro.core.progress import AppPlan, RequestProgress
 from repro.core.squad import KernelSquad, generate_squad
 
+from .app_variants import other_trace
 from .progress_oracle import OracleProgress
 
 
@@ -53,17 +53,12 @@ def reference_generate_squad(progresses, now, config):
             chosen = available[rr_index % len(available)]
             rr_index += 1
         index = chosen.request.next_kernel
-        end = index + 1
-        boundaries = chosen.request.app.graph_boundaries
-        if boundaries is not None:
-            end = graph_end(boundaries, index, chosen.request.total_kernels)
-        squad.add(chosen.request, range(index, end))
-        for kernel_index in range(index, end):
-            if solo:
-                accumulated_us += chosen.profile.step_cost(
-                    chosen.profile.num_partitions, kernel_index
-                )
-        chosen.request.next_kernel = end
+        squad.add(chosen.request, [index])
+        if solo:
+            accumulated_us += chosen.profile.step_cost(
+                chosen.profile.num_partitions, index
+            )
+        chosen.request.next_kernel = index + 1
         if chosen.request.all_scheduled:
             break
         if solo and accumulated_us >= config.solo_squad_budget_us:
@@ -72,23 +67,23 @@ def reference_generate_squad(progresses, now, config):
 
 
 @lru_cache(maxsize=None)
-def _base_app(model, graph_size):
+def _base_app(model, gap_stride):
     app = inference_app(model)
-    return app if graph_size is None else with_cuda_graphs(app, graph_size)
+    return app if gap_stride is None else other_trace(app, gap_stride)
 
 
 @lru_cache(maxsize=None)
-def _profile(model, graph_size):
-    # One profiler per variant: the profiler caches by app name, and a
-    # graphed app keeps its model's name but not its dispatch gaps.
-    return OfflineProfiler().profile(_base_app(model, graph_size))
+def _profile(model, gap_stride):
+    # A variant keeps its model's name but not its dispatch gaps, so
+    # it has a profile of its own.
+    return OfflineProfiler().profile(_base_app(model, gap_stride))
 
 
 def _progress(spec, app_id, config):
     """A fresh oracle view of one drawn app description."""
-    model, quota, arrival, start, t_ref_factor, graphs = spec
-    app = _base_app(model, graphs).with_quota(quota, app_id=app_id)
-    profile = _profile(model, graphs)
+    model, quota, arrival, start, t_ref_factor, gap_stride = spec
+    app = _base_app(model, gap_stride).with_quota(quota, app_id=app_id)
+    profile = _profile(model, gap_stride)
     partition = config.nearest_partition(quota)
     t_ref = profile.iso_latency(partition) * t_ref_factor
     request = Request(app=app, arrival_time=arrival)
@@ -127,7 +122,7 @@ app_specs = st.tuples(
     st.floats(min_value=0.0, max_value=30_000.0),              # arrival
     st.floats(min_value=0.0, max_value=1.0),                   # start fraction
     st.sampled_from([1.0, 0.5, 2.0, 3.5]),                     # T_ref factor
-    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),  # gap stride
 )
 
 
@@ -209,7 +204,7 @@ class TestMatchesReference:
         assert incremental == reference
         assert 0 < len(incremental[0][0][2]) < 20
 
-    def test_graphs_and_round_robin(self):
+    def test_other_trace_and_round_robin(self):
         specs = [
             ("NAS", 0.3, 0.0, 0.2, 1.0, 4),
             ("VGG", 0.7, 100.0, 0.0, 1.0, None),

@@ -14,7 +14,7 @@ from repro.gpusim.kernel import KernelInstance, KernelSpec
 from repro.gpusim.faults import FaultPlan
 from repro.obs import DecisionTracer, load_records_jsonl, save_perfetto
 from repro.workloads.arrivals import OneShot
-from repro.workloads.suite import WorkloadBinding, asymmetric_pair, bind_load
+from repro.workloads.suite import WorkloadBinding, bind_load
 
 KERNEL_FIELDS = [
     "name",
@@ -111,7 +111,11 @@ def test_perfetto_export_is_pinned(tmp_path):
     # killed kernels are relaunched on a fresh queue.
     plan = FaultPlan(kernel_failure_rate=0.05, context_crash_times=(4000.0,), seed=7)
     system = BlessRuntime(trace=True, fault_plan=plan)
-    system.serve(bind_load(asymmetric_pair("R50", 0.7, 0.3), "A", requests=3))
+    apps = [
+        inference_app("R50").with_quota(0.7, app_id="R50-inf#1"),
+        inference_app("R50").with_quota(0.3, app_id="R50-inf#2"),
+    ]
+    system.serve(bind_load(apps, "A", requests=3))
     path = tmp_path / "trace.json"
     save_perfetto(system.obs.tracer.records, path)
     data = path.read_bytes()

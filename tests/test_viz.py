@@ -5,8 +5,8 @@ import pytest
 from repro.apps.models import inference_app
 from repro.core.runtime import BlessRuntime
 from repro.gpusim.engine import TimelineSegment
-from repro.viz.charts import bar_chart, line_sweep, reduction_table, scatter
-from repro.viz.timeline import bubble_profile, bucketise, render_timeline
+from repro.viz.charts import bar_chart, reduction_table, scatter
+from repro.viz.timeline import bucketise, render_timeline
 from repro.workloads.arrivals import OneShot
 from repro.workloads.suite import WorkloadBinding
 
@@ -61,11 +61,6 @@ class TestRenderTimeline:
         assert "a |" in text and "b |" in text and "GPU total" in text
         assert len(view.lanes["a"]) == 20
 
-    def test_bubble_profile_complements_busy(self):
-        timeline = [segment(0.0, 100.0, {1: ("a", 0.25, 1.0)})]
-        bubbles = bubble_profile(timeline, 0.0, 100.0, width=4)
-        assert bubbles == pytest.approx([0.75] * 4)
-
     def test_end_to_end_with_real_run(self):
         """Render the timeline of an actual BLESS serving run."""
         apps = [
@@ -102,14 +97,6 @@ class TestCharts:
     def test_scatter_rejects_empty(self):
         with pytest.raises(ValueError):
             scatter([])
-
-    def test_line_sweep_legend(self):
-        text = line_sweep({"BLESS": {1: 10.0, 2: 9.0}, "GSLICE": {1: 12.0, 2: 12.0}})
-        assert "o=BLESS" in text and "x=GSLICE" in text
-
-    def test_line_sweep_rejects_empty(self):
-        with pytest.raises(ValueError):
-            line_sweep({})
 
     def test_reduction_table(self):
         text = reduction_table({"BLESS": 8.0, "GSLICE": 10.0, "TEMPORAL": 16.0})

@@ -15,7 +15,6 @@ from repro.workloads.suite import (
     QUOTAS_2MODEL,
     QUOTAS_4MODEL,
     QUOTAS_8MODEL,
-    asymmetric_pair,
     bind_biased,
     bind_closed_loop,
     bind_continuous,
@@ -187,10 +186,6 @@ class TestSuite:
         a, b = symmetric_pair("BERT")
         assert a.app_id != b.app_id
         assert a.name == b.name
-
-    def test_asymmetric_pair_contains_r50(self):
-        a, b = asymmetric_pair("NAS")
-        assert "R50" in a.name and "NAS" in b.name
 
     def test_mutual_pairs_count(self):
         pairs = mutual_pairs()

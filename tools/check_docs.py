@@ -13,10 +13,16 @@ Scans every ``*.md`` under the repo root and ``docs/`` and verifies:
   one ``docs/*.md`` file — by dotted path (``repro.cluster.placement``)
   or by source path (``cluster/placement.py``) — so new subsystems
   cannot land undocumented.  ``_private.py`` modules, ``__init__.py``
-  re-export shims, and the ``MODULE_ALLOWLIST`` below are exempt.
+  re-export shims, and the ``MODULE_ALLOWLIST`` below are exempt;
+* every ``repro.*`` dotted name and every ``*.py`` path in an inline
+  code span, in the pages that describe the tree as it is (``docs/``
+  and ``TREE_DOCS``), names something that exists: a package, a module
+  or a top-level name bound in one, and a file whose path ends with the
+  one given.  CHANGES.md (history), ROADMAP.md (plans) and the paper
+  notes are exempt: they name files that are gone or not yet written.
 
 External links (``http(s)://``, ``mailto:``) are not fetched.  Exits
-non-zero listing every broken link — this is the CI docs gate
+non-zero listing every error — this is the CI docs gate
 (``.github/workflows/ci.yml``).
 
 Usage: python tools/check_docs.py [root]
@@ -24,6 +30,7 @@ Usage: python tools/check_docs.py [root]
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -36,6 +43,13 @@ _REF_DEF = re.compile(r"^\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 _HEADING = re.compile(r"^(#{1,6})\s+(.*)$", re.MULTILINE)
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+_DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_PY_PATH = re.compile(r"[\w./-]*\w\.py\b")
+
+#: Root pages that describe the tree as it is, checked with ``docs/``
+#: for names of modules and files that do not exist.
+TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def github_slug(heading: str, seen: Dict[str, int]) -> str:
@@ -113,6 +127,73 @@ def check_module_coverage(root: Path) -> List[str]:
     return errors
 
 
+def _top_level_names(module: Path) -> Set[str]:
+    """Names bound at the top level of ``module`` (empty if missing)."""
+    if not module.is_file():
+        return set()
+    names: Set[str] = set()
+    for node in ast.parse(module.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def dotted_name_exists(root: Path, dotted: str) -> bool:
+    """Whether ``repro.a.b...`` is a package, a module, or a top-level
+    name of one (``repro.core.runtime.BlessRuntime``)."""
+    path = root / "src" / "repro"
+    parts = dotted.split(".")[1:]
+    for index, part in enumerate(parts):
+        if (path / part).is_dir():
+            path = path / part
+        elif (path / f"{part}.py").is_file():
+            path = path / f"{part}.py"
+            rest = parts[index + 1:]
+            break
+        else:
+            path, rest = path / "__init__.py", parts[index:]
+            break
+    else:
+        return True
+    return not rest or rest[0] in _top_level_names(path)
+
+
+def tree_py_files(root: Path) -> List[str]:
+    """Every ``*.py`` path in the tree, relative to ``root``."""
+    files = []
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).parts
+        if not any(p.startswith(".") or p == "__pycache__" for p in parts):
+            files.append("/".join(parts))
+    return files
+
+
+def check_named_files(root: Path) -> List[str]:
+    """Docs of the tree name only modules and files that exist."""
+    pages = [root / name for name in TREE_DOCS if (root / name).is_file()]
+    pages += sorted((root / "docs").glob("*.md"))
+    py_files = tree_py_files(root)
+    errors = []
+    for md in pages:
+        text = md.read_text(encoding="utf-8")
+        where = md.relative_to(root)
+        for dotted in sorted(set(_DOTTED_NAME.findall(text))):
+            if not dotted_name_exists(root, dotted):
+                errors.append(f"{where}: names missing module {dotted}")
+        spans = _CODE_SPAN.findall(_CODE_FENCE.sub("", text))
+        paths = {p for span in spans for p in _PY_PATH.findall(span)}
+        for name in sorted(paths):
+            tail = name.lstrip("./")
+            if not any(f == tail or f.endswith("/" + tail) for f in py_files):
+                errors.append(f"{where}: names missing file {name}")
+    return errors
+
+
 def check(root: Path) -> List[str]:
     errors: List[str] = []
     anchor_cache: Dict[Path, Set[str]] = {}
@@ -139,6 +220,7 @@ def check(root: Path) -> List[str]:
                         f"{md.relative_to(root)}: broken anchor -> {target}"
                     )
     errors.extend(check_module_coverage(root))
+    errors.extend(check_named_files(root))
     return errors
 
 
@@ -149,9 +231,10 @@ def main(argv: List[str]) -> int:
     if errors:
         for error in errors:
             print(error, file=sys.stderr)
-        print(f"\n{len(errors)} broken link(s) across {checked} files", file=sys.stderr)
+        print(f"\n{len(errors)} error(s) across {checked} files", file=sys.stderr)
         return 1
-    print(f"docs OK: {checked} markdown files, all relative links and anchors resolve")
+    print(f"docs OK: {checked} markdown files, all relative links and anchors "
+          "resolve and every named module and file exists")
     return 0
 
 

@@ -8,7 +8,6 @@ Commands
 ``profile <model>``        print an application's offline profile summary
 ``timeline``               render an execution timeline for a small run
 ``sweep-quota``            sweep 2-app quota splits (Fig. 12-style rows)
-``trace``                  serve with decision tracing on; export Perfetto JSON
 ``results``                query the sqlite results catalog
                            (``list`` / ``query`` / ``compare`` / ``gc`` /
                            ``ingest-bench``; see docs/results-catalog.md)
@@ -21,7 +20,7 @@ Examples
 python -m repro serve --models R50 R50 --load C --systems GSLICE BLESS
 python -m repro profile BERT --partitions 18 9 5
 python -m repro timeline --models VGG R50 --width 100
-python -m repro trace --models R50 VGG --load B --out trace.json
+python -m repro serve --models R50 VGG --load B --systems BLESS --trace trace.json
 python -m repro results compare origin-main HEAD --threshold throughput_qps=-0.05
 python -m repro scenario run llm_inference_tails --jobs 2
 """
@@ -113,7 +112,7 @@ def cmd_serve(args) -> int:
         print(f"unknown systems: {unknown}; choose from {list(INFERENCE_SYSTEMS)}")
         return 2
     from .gpusim.faults import resolve_fault_plan
-    from .obs import resolve_trace_target, resolve_tracing
+    from .obs import analyze, resolve_trace_target, resolve_tracing
 
     fault_plan = resolve_fault_plan(args.fault_plan, args.fault_seed)
     if fault_plan is not None:
@@ -140,6 +139,10 @@ def cmd_serve(args) -> int:
         if trace_target and system.obs.tracer is not None:
             path = _trace_path(trace_target, name, multiple=len(args.systems) > 1)
             print(f"  trace: {_write_trace(system.obs.tracer, path)}")
+            print("  post-hoc analysis:")
+            for section, values in analyze(system.obs.tracer.records).items():
+                rendered = ", ".join(f"{k}={v:.4g}" for k, v in values.items())
+                print(f"    {section}: {rendered}")
         latencies[name] = result.mean_of_app_means() / 1000.0
         per_app = ", ".join(
             f"{a}={v / 1000:.2f}ms" for a, v in result.per_app_mean_latency().items()
@@ -189,38 +192,6 @@ def cmd_serve(args) -> int:
             result_metrics(result),
             artifacts=artifacts,
         )
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Serve one system with decision tracing on and export the trace."""
-    from .gpusim.faults import resolve_fault_plan
-    from .obs import analyze
-
-    if args.system not in INFERENCE_SYSTEMS:
-        print(f"unknown system {args.system!r}; choose from {list(INFERENCE_SYSTEMS)}")
-        return 2
-    apps = _apps_from_args(args.models, args.quotas, args.training)
-    fault_plan = resolve_fault_plan(args.fault_plan, args.fault_seed)
-    if fault_plan is not None:
-        print(f"fault plan: {fault_plan.describe()}")
-    system = INFERENCE_SYSTEMS[args.system](fault_plan=fault_plan, trace=True)
-    result = system.serve(bind_load(apps, args.load, requests=args.requests))
-    tracer = system.obs.tracer
-    if tracer is None:
-        print(f"{args.system} does not support decision tracing "
-              "(composite systems serve on private sub-engines)")
-        return 2
-    print(f"{args.system}: avg {result.mean_of_app_means() / 1000:.2f} ms, "
-          f"util {result.utilization:.1%}")
-    print(f"trace: {_write_trace(tracer, args.out)}")
-    if not args.out.endswith(".jsonl"):
-        print("open it at https://ui.perfetto.dev or chrome://tracing")
-    reports = analyze(tracer.records)
-    print("\npost-hoc analysis:")
-    for section, values in reports.items():
-        rendered = ", ".join(f"{k}={v:.4g}" for k, v in values.items())
-        print(f"  {section}: {rendered}")
     return 0
 
 
@@ -677,28 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         metavar="PATH",
-        help="record decision traces and write one Perfetto JSON per "
+        help="record decision traces, write one Perfetto JSON per "
         "system to PATH (.jsonl extension writes JSON lines; "
-        "default: the REPRO_TRACE environment variable)",
+        "default: the REPRO_TRACE environment variable) and print "
+        "each trace's post-hoc analysis",
     )
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "trace", help="serve one system with decision tracing and export"
-    )
-    p.add_argument("--models", nargs="+", required=True, choices=MODEL_NAMES)
-    p.add_argument("--quotas", nargs="+", type=float)
-    p.add_argument("--load", default="B", choices=["A", "B", "C"])
-    p.add_argument("--requests", type=int, default=8)
-    p.add_argument("--system", default="BLESS")
-    p.add_argument("--training", action="store_true")
-    p.add_argument(
-        "--out", default="trace.json",
-        help="output path (.json = Perfetto trace_event, .jsonl = JSON lines)",
-    )
-    p.add_argument("--fault-plan", help="inject faults (see `serve --fault-plan`)")
-    p.add_argument("--fault-seed", type=int)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "results",

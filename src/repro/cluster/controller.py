@@ -15,6 +15,10 @@ When tracing is on the controller owns an engine-less
 :class:`DecisionTracer`: its own decisions (``cluster.place`` …) land on
 the cluster clock, and each GPU's stream is absorbed with a ``gpu`` tag
 so the Perfetto export lays every GPU out on its own track.
+
+The online controller (:mod:`.online`) is this class plus an epoch
+loop; both record their decisions and merge their GPUs through the
+methods defined here.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..apps.application import Application
 from ..baselines.base import SharingSystem
 from ..catalog.ingest import ingest_metrics_safe, result_metrics
 from ..core.runtime import BlessRuntime
@@ -140,7 +145,14 @@ class ClusterResult:
 
 
 class ClusterController:
-    """Places applications on GPUs and serves them with per-GPU runtimes."""
+    """Places applications on GPUs and serves them with per-GPU runtimes.
+
+    This is the §4.2.2 central controller.  It owns the placer, the
+    per-GPU system factory, the decision tracer, the ``cluster.place`` /
+    ``cluster.interference`` / ``cluster.cost`` records and the per-GPU
+    merge; :class:`~repro.cluster.online.OnlineClusterController` adds
+    the epoch loop on top of them.
+    """
 
     def __init__(
         self,
@@ -171,6 +183,92 @@ class ClusterController:
     def num_gpus(self) -> int:
         return len(self.placer.slots)
 
+    def _emit(self, etype: str, app_id: str = "", **args) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(etype, app_id=app_id, **args)
+
+    def _emit_placement(self, app: Application, gpu: int, **flags) -> None:
+        """Record that ``app`` (as deployed) went to GPU ``gpu``.
+
+        ``flags`` land between ``quota`` and ``policy`` in the
+        ``cluster.place`` record.  Under ``CONTENTION_AWARE`` a
+        ``cluster.interference`` record follows with the app's
+        predicted slowdown next to its co-residents and the slot's cost.
+        """
+        self._emit(
+            CLUSTER_PLACE,
+            app_id=app.app_id,
+            gpu=gpu,
+            quota=app.quota,
+            **flags,
+            policy=self.placer.policy.value,
+        )
+        cost_model = self.placer.cost_model
+        if cost_model is not None:
+            group = self.placer.slots[gpu].apps
+            co = [a for a in group if a is not app]
+            self._emit(
+                CLUSTER_INTERFERENCE,
+                app_id=app.app_id,
+                gpu=gpu,
+                slowdown=cost_model.estimator.slowdown(app, co),
+                slot_cost=cost_model.slot_cost(group),
+            )
+
+    def _emit_cost(self, cost: float, **scope) -> None:
+        """Record the contention policy's objective value ``cost``.
+
+        ``scope`` (the online epoch) leads the ``cluster.cost`` record.
+        """
+        estimator = self.placer.cost_model.estimator
+        self._emit(
+            CLUSTER_COST,
+            **scope,
+            cost=cost,
+            policy=self.placer.policy.value,
+            estimator_hits=estimator.hits,
+            estimator_misses=estimator.misses,
+        )
+
+    def _merge(self, results: Sequence[ServingResult], **chain) -> ServingResult:
+        """One cluster-level result over ``results``, in the given order.
+
+        ``num_slots`` counts idle GPUs too: a pool of three GPUs serving
+        one app is one-third utilised, not fully utilised.  ``chain``
+        carries the online epoch chain's ``weights`` and ``offsets``.
+        """
+        return ServingResult.merge(
+            results,
+            system=self._system_name(),
+            num_slots=self.num_gpus,
+            **chain,
+        )
+
+    def _system_name(self) -> str:
+        return f"cluster/{system_name(self.system_factory, self.system_kwargs)}"
+
+    def _ingest(
+        self, experiment: str, merged: ServingResult, jobs: Optional[int], **config
+    ) -> None:
+        """Record a cluster-wide result in the catalog.
+
+        The catalog then carries the ``completed + shed == arrived``
+        accounting at the level CI perf queries compare, not only the
+        per-GPU cells.
+        """
+        ingest_metrics_safe(
+            experiment,
+            merged.system,
+            {
+                "experiment": experiment,
+                "num_gpus": self.num_gpus,
+                "policy": self.placer.policy.value,
+                **config,
+            },
+            result_metrics(merged),
+            jobs=jobs,
+        )
+
     def serve(
         self,
         bindings: Sequence[WorkloadBinding],
@@ -194,37 +292,14 @@ class ClusterController:
         # Each serve places onto empty GPUs, whatever an earlier serve left.
         self.placer = self._new_placer()
         placements = self.placer.place_all([b.app for b in bindings])
-        cost_model = self.placer.cost_model
         placement_cost = self.placer.placement_cost()
         if self.tracer is not None:
             self.tracer.now = 0.0
             for gpu_index in sorted(placements):
                 for app in placements[gpu_index]:
-                    self.tracer.emit(
-                        CLUSTER_PLACE,
-                        app_id=app.app_id,
-                        gpu=gpu_index,
-                        quota=app.quota,
-                        policy=self.placer.policy.value,
-                    )
-                    if cost_model is not None:
-                        group = placements[gpu_index]
-                        co = [a for a in group if a is not app]
-                        self.tracer.emit(
-                            CLUSTER_INTERFERENCE,
-                            app_id=app.app_id,
-                            gpu=gpu_index,
-                            slowdown=cost_model.estimator.slowdown(app, co),
-                            slot_cost=cost_model.slot_cost(group),
-                        )
-            if cost_model is not None:
-                self.tracer.emit(
-                    CLUSTER_COST,
-                    cost=placement_cost,
-                    policy=self.placer.policy.value,
-                    estimator_hits=cost_model.estimator.hits,
-                    estimator_misses=cost_model.estimator.misses,
-                )
+                    self._emit_placement(app, gpu_index)
+            if placement_cost is not None:
+                self._emit_cost(placement_cost)
 
         gpu_bindings = [
             (gpu_index, [by_app[app.app_id] for app in apps])
@@ -241,44 +316,20 @@ class ClusterController:
         for gpu_index, gpu_records in records.items():
             self.tracer.absorb(gpu_records, gpu_index)
         # Merge in GPU slot-index order — deterministic regardless of
-        # pool completion order.  num_slots counts idle GPUs too: a
-        # pool of three GPUs serving one app is one-third utilised,
-        # not fully utilised (the historical len(per_gpu) denominator
-        # bug), and merged extras keep the fault/engine counters every
-        # GPU accumulated (previously dropped entirely).
-        merged = ServingResult.merge(
-            [per_gpu[gpu_index] for gpu_index, _ in gpu_bindings],
-            system=f"cluster/{system_name(self.system_factory, self.system_kwargs)}",
-            num_slots=len(self.placer.slots),
-        )
+        # pool completion order.
+        merged = self._merge([per_gpu[gpu_index] for gpu_index, _ in gpu_bindings])
         # The contention policy's objective value rides in extras (and
         # thus the catalog) as ``cluster_placement_cost``; quota
         # policies keep the historical extras schema byte for byte.
         if placement_cost is not None:
             merged.extras["cluster_placement_cost"] = float(placement_cost)
-        # Record the cluster-wide merge (not just the per-GPU cells) so
-        # the catalog carries the completed + shed == arrived accounting
-        # at the level CI perf queries compare.
-        ingest_metrics_safe(
+        placed = {
+            index: [a.app_id for a in apps] for index, apps in placements.items()
+        }
+        self._ingest(
             "cluster_merged",
-            merged.system,
-            {
-                "experiment": "cluster_merged",
-                "num_gpus": len(self.placer.slots),
-                "policy": self.placer.policy.value,
-                "placements": {
-                    str(index): [a.app_id for a in apps]
-                    for index, apps in sorted(placements.items())
-                },
-            },
-            result_metrics(merged),
-            jobs=jobs,
+            merged,
+            jobs,
+            placements={str(index): placed[index] for index in sorted(placed)},
         )
-        return ClusterResult(
-            merged=merged,
-            per_gpu=per_gpu,
-            placements={
-                index: [a.app_id for a in apps]
-                for index, apps in placements.items()
-            },
-        )
+        return ClusterResult(merged=merged, per_gpu=per_gpu, placements=placed)

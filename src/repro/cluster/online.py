@@ -1,6 +1,7 @@
 """Online cluster orchestration: arrivals, departures, shedding, migration.
 
-The §4.2.2 controller of :mod:`.controller` serves one static workload.
+The §4.2.2 controller of :mod:`.controller` serves one static workload;
+:class:`OnlineClusterController` is that controller plus an epoch loop.
 Real clusters are online: applications arrive over time, run for a
 while, and depart.  This module models that as an **epoch loop** — an
 epoch is one pass of every active application's workload, and the
@@ -43,7 +44,6 @@ every decision lands on an engine-less
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.application import Application, new_request_id
@@ -51,23 +51,18 @@ from ..core.runtime import BlessRuntime
 from ..gateway.slo import DEGRADE_FACTORS
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
-from ..obs import DecisionTracer, resolve_tracing
 from ..obs.events import (
-    CLUSTER_COST,
     CLUSTER_DEPART,
     CLUSTER_EPOCH,
-    CLUSTER_INTERFERENCE,
     CLUSTER_MIGRATE,
-    CLUSTER_PLACE,
     CLUSTER_SHED,
     TraceEvent,
 )
-from ..catalog.ingest import ingest_metrics_safe, result_metrics
 from ..parallel import resolve_backend
 from ..workloads.arrivals import ArrivalProcess, drain_process
 from ..workloads.suite import WorkloadBinding, estimated_solo_us
-from .controller import SystemFactory, serve_gpus, system_name
-from .placement import ClusterPlacer, PlacementPolicy
+from .controller import ClusterController, SystemFactory, serve_gpus
+from .placement import PlacementPolicy
 
 #: Below this many GPUs to serve in an epoch, the serve fans out
 #: in-process instead of over the pool: ProcessPoolExecutor submit +
@@ -211,8 +206,14 @@ def offered_requests(binding: WorkloadBinding) -> int:
     return len(drain_process(process, estimated_solo_us(binding.app)))
 
 
-class OnlineClusterController:
-    """Epoch-driven orchestrator over a :class:`ClusterPlacer`."""
+class OnlineClusterController(ClusterController):
+    """The cluster controller plus an epoch loop.
+
+    Placement records, cost records, the per-GPU merge and the catalog
+    row come from :class:`ClusterController`; this class adds
+    departures, migration, the admission ladder, the per-run reuse
+    table and the epoch chain.
+    """
 
     def __init__(
         self,
@@ -224,34 +225,14 @@ class OnlineClusterController:
         migrate: bool = False,
         trace: Optional[bool] = None,
     ):
-        self.gpu_spec = gpu_spec or GPUSpec()
-        self.system_kwargs = dict(system_kwargs or {})
-        self._new_placer = partial(
-            ClusterPlacer,
-            num_gpus,
-            self.gpu_spec,
-            policy,
-            slo=self.system_kwargs.get("slo"),
+        super().__init__(
+            num_gpus, gpu_spec, policy, system_factory, system_kwargs, trace
         )
-        self.placer = self._new_placer()
-        self.system_factory = system_factory
         self.migrate = migrate
-        self.tracing = resolve_tracing(trace)
-        self.tracer: Optional[DecisionTracer] = (
-            DecisionTracer() if self.tracing else None
-        )
         self.stats = ClusterStats()
         # app_id -> the binding's original process factory; placements
         # hold the (possibly quota-degraded) deployed Application.
         self._factories: Dict[str, Callable[[], ArrivalProcess]] = {}
-
-    @property
-    def num_gpus(self) -> int:
-        return len(self.placer.slots)
-
-    def _emit(self, etype: str, app_id: str = "", **args) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(etype, app_id=app_id, **args)
 
     # -- admission ladder ------------------------------------------------
     def _try_place(self, app: Application) -> Optional[int]:
@@ -281,27 +262,7 @@ class OnlineClusterController:
                     if degraded:
                         self.stats.apps_degraded += 1
                     self.stats.apps_admitted += 1
-                    self._emit(
-                        CLUSTER_PLACE,
-                        app_id=app.app_id,
-                        gpu=gpu,
-                        quota=candidate.quota,
-                        degraded=degraded,
-                        policy=self.placer.policy.value,
-                    )
-                    cost_model = self.placer.cost_model
-                    if cost_model is not None:
-                        group = self.placer.slots[gpu].apps
-                        co = [a for a in group if a is not candidate]
-                        self._emit(
-                            CLUSTER_INTERFERENCE,
-                            app_id=app.app_id,
-                            gpu=gpu,
-                            slowdown=cost_model.estimator.slowdown(
-                                candidate, co
-                            ),
-                            slot_cost=cost_model.slot_cost(group),
-                        )
+                    self._emit_placement(candidate, gpu, degraded=degraded)
                     return candidate
             # One defragmenting migration, then retry the ladder once.
             if attempt == 0 and self.migrate and self._migrate_once():
@@ -384,7 +345,6 @@ class OnlineClusterController:
         self.placer = self._new_placer()
         self.stats = ClusterStats()
         self._factories = {}
-        name = f"cluster/{system_name(self.system_factory, self.system_kwargs)}"
         served: Dict[WorkloadKey, _ServedGPU] = {}
         per_epoch: List[ServingResult] = []
         offsets: List[float] = []
@@ -435,14 +395,7 @@ class OnlineClusterController:
             if self.placer.cost_model is not None:
                 epoch_cost = self.placer.placement_cost()
                 epoch_costs.append(epoch_cost)
-                self._emit(
-                    CLUSTER_COST,
-                    epoch=epoch,
-                    cost=epoch_cost,
-                    policy=self.placer.policy.value,
-                    estimator_hits=self.placer.cost_model.estimator.hits,
-                    estimator_misses=self.placer.cost_model.estimator.misses,
-                )
+                self._emit_cost(epoch_cost, epoch=epoch)
 
             # 4. Serve each occupied GPU whose tenant list is new in
             # this run; the others reuse the pass that first ran it.
@@ -501,10 +454,8 @@ class OnlineClusterController:
                     if index not in fresh_gpus:
                         gpu_records = _renumbered(gpu_records)
                     self.tracer.absorb(gpu_records, index, offset_us=offset)
-            epoch_result = ServingResult.merge(
-                [per_gpu[index] for index, _ in gpu_bindings],
-                system=name,
-                num_slots=self.num_gpus,
+            epoch_result = self._merge(
+                [per_gpu[index] for index, _ in gpu_bindings]
             )
             self._emit(
                 CLUSTER_EPOCH,
@@ -521,15 +472,13 @@ class OnlineClusterController:
             offset += epoch_result.makespan_us
 
         if per_epoch:
-            merged = ServingResult.merge(
+            merged = self._merge(
                 per_epoch,
-                system=name,
-                num_slots=self.num_gpus,
                 weights=[float(self.num_gpus)] * len(per_epoch),
                 offsets=offsets,
             )
         else:
-            merged = ServingResult(system=name)
+            merged = ServingResult(system=self._system_name())
         merged.extras.update(self.stats.as_dict())
         if epoch_costs:
             # Mean per-epoch interference cost — the scenario-level
@@ -538,21 +487,13 @@ class OnlineClusterController:
             merged.extras["cluster_placement_cost"] = float(
                 sum(epoch_costs) / len(epoch_costs)
             )
-        ingest_metrics_safe(
+        self._ingest(
             "cluster_online",
-            merged.system,
-            {
-                "experiment": "cluster_online",
-                "num_gpus": self.num_gpus,
-                "policy": self.placer.policy.value,
-                "migrate": self.migrate,
-                "epochs": epochs,
-                "schedule": [
-                    [a.app_id, a.arrive_epoch, a.depart_epoch] for a in schedule
-                ],
-            },
-            result_metrics(merged),
-            jobs=jobs,
+            merged,
+            jobs,
+            migrate=self.migrate,
+            epochs=epochs,
+            schedule=[[a.app_id, a.arrive_epoch, a.depart_epoch] for a in schedule],
         )
         return OnlineClusterResult(
             merged=merged,

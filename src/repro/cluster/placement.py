@@ -284,7 +284,9 @@ class ClusterPlacer:
         batch is solved as one cost minimization instead
         (:func:`repro.cluster.interference.solve_placement`): greedy
         construction and local-search refinement — and nothing is
-        recorded if the solver cannot place every app.
+        recorded if the solver cannot place every app.  That solver
+        assigns whole GPUs, so it raises ``ValueError`` when any GPU
+        already hosts an app.
         """
         if self.policy is PlacementPolicy.CONTENTION_AWARE:
             return self._place_all_contention(apps)
@@ -295,21 +297,11 @@ class ClusterPlacer:
     def _place_all_contention(
         self, apps: Sequence[Application]
     ) -> Dict[int, List[Application]]:
-        occupied = sum(len(slot.apps) for slot in self.slots)
-        if occupied:
-            # Mixed batch-on-occupied placement falls back to the
-            # marginal-cost greedy rule app by app (the online
-            # controller's path); the solver owns only clean batches.
-            for app in sorted(
-                apps,
-                key=lambda a: (-self.cost_model.estimator.solo_us(a), a.app_id),
-            ):
-                self.place(app)
-            return {
-                slot.index: list(slot.apps)
-                for slot in self.slots
-                if slot.apps
-            }
+        if any(slot.apps for slot in self.slots):
+            raise ValueError(
+                "the contention-aware batch solver needs empty GPUs; "
+                "place onto occupied GPUs one app at a time with place()"
+            )
         groups = solve_placement(
             apps,
             len(self.slots),

@@ -47,7 +47,7 @@ from ..gateway.slo import (
 )
 from ..metrics.stats import ServingResult
 from ..parallel import ServeCell, run_cells
-from ..workloads.arrivals import ClosedLoop, Continuous
+from ..workloads.arrivals import ClosedLoop
 from ..workloads.suite import (
     WorkloadBinding,
     bind_closed_loop,
@@ -101,7 +101,9 @@ def ablation_bindings(
         ),
         WorkloadBinding(
             app=be_app,
-            process_factory=partial(Continuous, max_requests=be_requests),
+            process_factory=partial(
+                ClosedLoop, interval_us=0.0, max_requests=be_requests
+            ),
         ),
     ]
 

@@ -252,7 +252,7 @@ class ServingResult:
         results: Sequence["ServingResult"],
         system: Optional[str] = None,
         *,
-        num_slots: Optional[int] = None,
+        num_slots: int,
         weights: Optional[Sequence[float]] = None,
         offsets: Optional[Sequence[float]] = None,
     ) -> "ServingResult":
@@ -279,15 +279,11 @@ class ServingResult:
           ``num_slots`` **must count idle GPUs too** — a pool of three
           GPUs serving one app is one-third as utilised as a busy
           single GPU, not equally utilised (the historical
-          ``len(per_gpu)`` denominator bug);
+          ``len(per_gpu)`` denominator bug) — and sequential epochs on
+          the same GPUs count those GPUs once;
         * ``offsets`` (cluster-clock start of each sub-result, for
           sequential epochs) shift record timestamps and extend the
-          merged makespan to ``max(offset + makespan)``.  When offsets
-          are in play the sub-results run on the **same** slots one
-          after another, so the default slot count is ``max(weights)``
-          — not ``sum(weights)``, which would count each epoch's GPUs
-          as distinct hardware and dilute utilization by the number of
-          epochs (the epoch-chaining denominator bug).
+          merged makespan to ``max(offset + makespan)``.
         """
         results = list(results)
         if not results:
@@ -298,13 +294,6 @@ class ServingResult:
             offsets = [0.0] * len(results)
         if len(weights) != len(results) or len(offsets) != len(results):
             raise ValueError("weights/offsets must match results in length")
-        if num_slots is None:
-            if any(offset != 0.0 for offset in offsets):
-                # Sequential epoch chain: the same slots are reused, so
-                # capacity is the widest epoch, not the epoch total.
-                num_slots = int(max(weights)) or len(results)
-            else:
-                num_slots = int(sum(weights)) or len(results)
         if num_slots < 1:
             raise ValueError("num_slots must be >= 1")
 

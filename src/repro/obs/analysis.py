@@ -184,7 +184,7 @@ def decision_summary(records: Sequence[TraceEvent]) -> Dict[str, float]:
 
 
 def analyze(records: Sequence[TraceEvent]) -> Dict[str, Dict[str, float]]:
-    """One-call bundle of every report (used by ``repro trace``)."""
+    """One-call bundle of every report (printed by ``repro serve --trace``)."""
     return {
         "critical_path": critical_path_summary(records),
         "predictor": predictor_report(records),

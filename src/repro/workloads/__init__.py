@@ -3,7 +3,6 @@
 from .arrivals import (
     ArrivalProcess,
     ClosedLoop,
-    Continuous,
     OneShot,
     TraceReplay,
     drain_process,
@@ -36,7 +35,6 @@ __all__ = [
     "bind_load",
     "bind_trace",
     "ClosedLoop",
-    "Continuous",
     "drain_process",
     "estimated_solo_us",
     "LOAD_FACTORS",

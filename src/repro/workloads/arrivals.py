@@ -105,33 +105,6 @@ class ClosedLoop:
 
 
 @dataclass
-class Continuous:
-    """Back-to-back arrivals: the next request arrives at completion.
-
-    Models the fully-saturated case of §6.3 ("all inference requests
-    arrive continuously ... no bubbles that can be utilized").
-    """
-
-    max_requests: int
-    start_us: float = 0.0
-    _issued: int = field(default=0, init=False)
-
-    def first_arrival(self) -> Optional[float]:
-        if self.max_requests == 0:
-            return None
-        self._issued = 1
-        return self.start_us
-
-    def next_arrival(
-        self, prev_arrival: float, prev_completion: float
-    ) -> Optional[float]:
-        if self._issued >= self.max_requests:
-            return None
-        self._issued += 1
-        return prev_completion
-
-
-@dataclass
 class AutoregressiveLoop:
     """LLM-style closed loop with a heavy-tailed autoregressive gap.
 

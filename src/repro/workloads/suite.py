@@ -28,7 +28,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from ..apps.application import Application
 from ..apps.models import MODEL_NAMES, inference_app, training_app
-from .arrivals import ArrivalProcess, ClosedLoop, Continuous, TraceReplay
+from .arrivals import ArrivalProcess, ClosedLoop, TraceReplay
 from .traces import azure_trace, twitter_trace
 
 # Interval factors for the closed-loop loads (fraction of solo latency).
@@ -116,11 +116,18 @@ def bind_load(apps: Sequence[Application], load: str, requests: int = 20) -> Lis
 
 
 def bind_continuous(apps: Sequence[Application], requests: int = 20) -> List[WorkloadBinding]:
-    """Fully-saturated back-to-back arrivals (§6.3 saturation check)."""
+    """Fully-saturated back-to-back arrivals (§6.3 saturation check).
+
+    A closed loop with zero think time: the next request arrives at the
+    previous one's completion, so "all inference requests arrive
+    continuously ... no bubbles that can be utilized".
+    """
     return [
         WorkloadBinding(
             app=app,
-            process_factory=partial(Continuous, max_requests=requests),
+            process_factory=partial(
+                ClosedLoop, interval_us=0.0, max_requests=requests
+            ),
         )
         for app in apps
     ]
@@ -171,7 +178,9 @@ def bind_biased(
         ),
         WorkloadBinding(
             app=app2,
-            process_factory=partial(Continuous, max_requests=requests * 3),
+            process_factory=partial(
+                ClosedLoop, interval_us=0.0, max_requests=requests * 3
+            ),
         ),
     ]
 

@@ -68,6 +68,16 @@ def assert_gpu_tagged_first(records, placements_by_epoch):
     assert checked > 0
 
 
+def decision_arg_orders(records):
+    """``{etype: [arg names in order, ...]}`` of the cluster decisions
+    the base controller records, one list per record."""
+    out = {}
+    for record in records:
+        if record.etype in ("cluster.place", "cluster.interference", "cluster.cost"):
+            out.setdefault(record.etype, []).append(list(record.args))
+    return out
+
+
 def app(app_id, quota, memory_mb=800, model="R50"):
     return inference_app(model).with_quota(quota, app_id=app_id)
 
@@ -269,7 +279,7 @@ class TestServingResultMerge:
 
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError):
-            ServingResult.merge([])
+            ServingResult.merge([], num_slots=1)
 
     def test_extras_are_summed(self):
         a = self.res("a", 100.0, 0.5, extras={"fault_shed_requests": 1.0})
@@ -305,9 +315,9 @@ class TestServingResultMerge:
     def test_length_mismatch_rejected(self):
         a = self.res("a", 100.0, 1.0)
         with pytest.raises(ValueError):
-            ServingResult.merge([a], weights=[1.0, 2.0])
+            ServingResult.merge([a], num_slots=1, weights=[1.0, 2.0])
         with pytest.raises(ValueError):
-            ServingResult.merge([a], offsets=[0.0, 1.0])
+            ServingResult.merge([a], num_slots=1, offsets=[0.0, 1.0])
 
 
 class TestPlacerDeterminism:
@@ -991,6 +1001,15 @@ class TestContentionEvents:
         ]
         assert cost_events[0].args["policy"] == "contention_aware"
         assert "estimator_hits" in cost_events[0].args
+        # Argument order is part of the output (save_jsonl bytes and
+        # the observability docs' event table).
+        assert decision_arg_orders(controller.tracer.records) == {
+            "cluster.place": [["gpu", "quota", "policy"]] * 2,
+            "cluster.interference": [["gpu", "slowdown", "slot_cost"]] * 2,
+            "cluster.cost": [
+                ["cost", "policy", "estimator_hits", "estimator_misses"]
+            ],
+        }
 
     def test_online_controller_emits_cost_per_epoch(self):
         binding_a = bind_load([app("a", 0.5)], "C", requests=2)[0]
@@ -1010,6 +1029,14 @@ class TestContentionEvents:
         assert etypes.count("cluster.cost") == 2  # one per epoch
         assert "cluster.interference" in etypes
         assert "cluster_placement_cost" in result.merged.extras
+        assert decision_arg_orders(controller.tracer.records) == {
+            "cluster.place": [["gpu", "quota", "degraded", "policy"]] * 2,
+            "cluster.interference": [["gpu", "slowdown", "slot_cost"]] * 2,
+            "cluster.cost": [
+                ["epoch", "cost", "policy", "estimator_hits", "estimator_misses"]
+            ]
+            * 2,
+        }
 
     def test_quota_policies_keep_extras_schema(self):
         controller = ClusterController(num_gpus=2)

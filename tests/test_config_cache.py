@@ -272,7 +272,7 @@ class TestCacheStats:
                 f"config_cache_{key}": value for key, value in part.as_dict().items()
             }
             parts.append(result)
-        merged = ServingResult.merge(parts).extras
+        merged = ServingResult.merge(parts, num_slots=2).extras
         assert merged["config_cache_hits"] == 4 and merged["config_cache_misses"] == 4
         assert merged["config_cache_evictions"] == 2
         assert merged["config_cache_hit_rate"] == pytest.approx(0.5)

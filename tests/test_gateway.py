@@ -33,7 +33,7 @@ from repro.gateway import (
     check_slo_accounting,
     parse_slo_mix,
 )
-from repro.workloads.arrivals import ClosedLoop, Continuous, TraceReplay
+from repro.workloads.arrivals import ClosedLoop, TraceReplay
 from repro.workloads.suite import (
     WorkloadBinding,
     bind_load,
@@ -276,7 +276,9 @@ class TestServingWithGateway:
             ),
             WorkloadBinding(
                 app=be_app,
-                process_factory=partial(Continuous, max_requests=12),
+                process_factory=partial(
+                    ClosedLoop, interval_us=0.0, max_requests=12
+                ),
             ),
         ]
         result = BlessRuntime(slo=spec).serve(bindings)

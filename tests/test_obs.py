@@ -381,11 +381,12 @@ class TestCliTrace:
         out = tmp_path / "cli_trace.json"
         code = main(
             [
-                "trace",
+                "serve",
                 "--models", "R50", "R50",
                 "--load", "B",
                 "--requests", "2",
-                "--out", str(out),
+                "--systems", "BLESS",
+                "--trace", str(out),
             ]
         )
         assert code == 0

@@ -63,6 +63,7 @@ class TestMergePercentiles:
         second = make_result([5.0] * 17)
         merged = ServingResult.merge(
             [first, second],
+            num_slots=1,
             offsets=[0.0, first.makespan_us],
         )
         concatenated = first.latencies() + second.latencies()
@@ -76,34 +77,15 @@ class TestMergePercentiles:
     def test_offsets_shift_records_and_extend_makespan(self):
         first = make_result([10.0], makespan=100.0)
         second = make_result([10.0], makespan=50.0)
-        merged = ServingResult.merge([first, second], offsets=[0.0, 100.0])
+        merged = ServingResult.merge(
+            [first, second], num_slots=1, offsets=[0.0, 100.0]
+        )
         assert merged.makespan_us == 150.0
         assert merged.records[1].arrival == 100.0
         assert merged.records[1].finish == 110.0
 
 
 class TestMergeSlotDefaults:
-    def test_epoch_chain_does_not_dilute_utilization(self):
-        """Sequential epochs reuse the same GPUs: two fully-busy epochs
-        on one GPU merge to a fully-busy result, not a half-busy one
-        (the epoch-chaining denominator bug)."""
-        epochs = [
-            make_result([10.0], makespan=100.0, utilization=1.0),
-            make_result([10.0], makespan=100.0, utilization=1.0),
-        ]
-        merged = ServingResult.merge(epochs, offsets=[0.0, 100.0])
-        assert merged.utilization == pytest.approx(1.0)
-
-    def test_parallel_merge_still_sums_weights(self):
-        """Side-by-side sub-results (no offsets) occupy distinct GPUs,
-        so the historical ``sum(weights)`` capacity stands."""
-        gpus = [
-            make_result([10.0], makespan=100.0, utilization=1.0),
-            make_result([10.0], makespan=100.0, utilization=0.0),
-        ]
-        merged = ServingResult.merge(gpus)
-        assert merged.utilization == pytest.approx(0.5)
-
     def test_explicit_num_slots_wins(self):
         epochs = [
             make_result([10.0], makespan=100.0, utilization=1.0),
@@ -120,9 +102,12 @@ class TestMergeSlotDefaults:
             make_result([10.0], makespan=100.0, utilization=1.0),
         ]
         merged = ServingResult.merge(
-            epochs, weights=[2.0, 2.0], offsets=[0.0, 100.0]
+            epochs, num_slots=2, weights=[2.0, 2.0], offsets=[0.0, 100.0]
         )
-        # busy = 2 epochs x 100 us x 2 GPUs; capacity = 200 us x 2 GPUs.
+        # Sequential epochs reuse the same GPUs, so the caller passes
+        # the widest epoch, not the epoch total (the epoch-chaining
+        # denominator bug): busy = 2 epochs x 100 us x 2 GPUs;
+        # capacity = 200 us x 2 GPUs.
         assert merged.utilization == pytest.approx(1.0)
 
 
@@ -148,7 +133,7 @@ class TestMergeRules:
                         engine_epoch_max_batch=1.0, peak_context_memory_mb=500.0,
                         config_cache_hits=1.0, config_cache_misses=3.0,
                         config_cache_hit_rate=0.25, fault_shed_requests=2.0),
-        ]).extras
+        ], num_slots=2).extras
         assert merged["squads"] == 4.0 and merged["fault_shed_requests"] == 2.0
         assert merged["kernels_per_squad"] == pytest.approx(15.0)
         assert merged["engine_peak_heap_size"] == 7.0
@@ -160,7 +145,7 @@ class TestMergeRules:
         merged = ServingResult.merge([
             with_extras(squads=1.0),
             with_extras(squads=2.0, context_memory_mb=-0.0, kernels_per_squad=0.1 + 0.2),
-        ]).extras
+        ], num_slots=2).extras
         assert math.copysign(1.0, merged["context_memory_mb"]) == -1.0
         assert merged["kernels_per_squad"] == 0.1 + 0.2
 

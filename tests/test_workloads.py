@@ -5,7 +5,6 @@ import pytest
 from repro.apps.models import inference_app
 from repro.workloads.arrivals import (
     ClosedLoop,
-    Continuous,
     OneShot,
     TraceReplay,
     drain_process,
@@ -84,7 +83,9 @@ class TestClosedLoop:
 
 class TestContinuous:
     def test_back_to_back(self):
-        process = Continuous(max_requests=3)
+        # bind_continuous is a closed loop with zero think time.
+        app = inference_app("R50")
+        process = bind_continuous([app], requests=3)[0].fresh_process()
         t = process.first_arrival()
         nxt = process.next_arrival(t, prev_completion=42.0)
         assert nxt == 42.0

@@ -136,7 +136,9 @@ def cmd_serve(args) -> int:
         )
         result = system.serve(bind_load(apps, args.load, requests=args.requests))
         results.append(result)
-        if trace_target and system.obs.tracer is not None:
+        if trace_target and system.obs.tracer is None:
+            print(f"  trace: {name} does not support decision tracing")
+        elif trace_target:
             path = _trace_path(trace_target, name, multiple=len(args.systems) > 1)
             print(f"  trace: {_write_trace(system.obs.tracer, path)}")
             print("  post-hoc analysis:")

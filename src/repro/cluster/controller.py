@@ -16,6 +16,10 @@ When tracing is on the controller owns an engine-less
 the cluster clock, and each GPU's stream is absorbed with a ``gpu`` tag
 so the Perfetto export lays every GPU out on its own track.
 
+GPUs do not interfere, so a GPU's pass depends only on its tenants'
+content in slot order: ``serve`` simulates each distinct workload once
+and gives every other GPU with it a copy, app ids renamed slot by slot.
+
 The online controller (:mod:`.online`) is this class plus an epoch
 loop; both record their decisions and merge their GPUs through the
 methods defined here.
@@ -23,16 +27,17 @@ methods defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..apps.application import Application
+from ..apps.application import Application, new_request_id
 from ..baselines.base import SharingSystem
 from ..catalog.ingest import ingest_metrics_safe, result_metrics
 from ..core.runtime import BlessRuntime
 from ..gpusim.device import GPUSpec
-from ..metrics.stats import ServingResult
+from ..gpusim.faults import resolve_fault_plan
+from ..metrics.stats import RequestRecord, ServingResult
 from ..obs import DecisionTracer, resolve_tracing
 from ..obs.events import (
     CLUSTER_COST,
@@ -131,6 +136,73 @@ def serve_gpus(
     return per_gpu, records
 
 
+def _factory_key(factory: Callable) -> Hashable:
+    """What an arrival-process factory builds: a ``partial``'s function,
+    args and keywords; any other factory (or an unhashable argument)
+    is keyed by identity."""
+    if isinstance(factory, partial):
+        key = (factory.func, factory.args, tuple(sorted(factory.keywords.items())))
+        try:
+            hash(key)
+            return key
+        except TypeError:
+            pass
+    return id(factory)
+
+
+def _renumbered(records: Sequence[TraceEvent]) -> List[TraceEvent]:
+    """``records`` with every request id replaced by a new one.
+
+    A reused pass enters the trace as new requests: the trace analyzer
+    keys requests on ``(app_id, request_id)``, so repeating the first
+    pass's ids would fold two epochs' requests into one.
+    """
+    new_ids: Dict[int, int] = {}
+    out: List[TraceEvent] = []
+    for record in records:
+        raw = record.args.get("request_id")
+        if raw is None or raw < 0:
+            out.append(record)
+            continue
+        if raw not in new_ids:
+            new_ids[raw] = new_request_id()
+        out.append(
+            TraceEvent(
+                ts_us=record.ts_us,
+                etype=record.etype,
+                app_id=record.app_id,
+                args={**record.args, "request_id": new_ids[raw]},
+            )
+        )
+    return out
+
+
+@dataclass
+class _ServedGPU:
+    """One simulated GPU pass, kept for the serve's other GPUs with the
+    same workload.  ``bindings`` pins the objects whose ids enter the
+    key, so no id can be reused while the entry lives."""
+
+    bindings: List[WorkloadBinding]
+    result: ServingResult
+    records: List[TraceEvent]
+
+    def relabelled(self, bindings: Sequence[WorkloadBinding]) -> ServingResult:
+        """The pass's result for a GPU whose tenants are ``bindings``:
+        each record's app id renamed to the tenant in the same slot."""
+        names = {old.app.app_id: new.app.app_id for old, new in zip(self.bindings, bindings)}
+        if all(old == new for old, new in names.items()):
+            return self.result
+        return replace(
+            self.result,
+            records=[
+                RequestRecord(names[r.app_id], r.request_id, r.arrival, r.finish)
+                for r in self.result.records
+            ],
+            extras=dict(self.result.extras),
+        )
+
+
 @dataclass
 class ClusterResult:
     """Merged outcome of a cluster-wide serving run."""
@@ -204,7 +276,7 @@ class ClusterController:
             policy=self.placer.policy.value,
         )
         cost_model = self.placer.cost_model
-        if cost_model is not None:
+        if cost_model is not None and self.tracer is not None:
             group = self.placer.slots[gpu].apps
             co = [a for a in group if a is not app]
             self._emit(
@@ -243,6 +315,86 @@ class ClusterController:
             num_slots=self.num_gpus,
             **chain,
         )
+
+    def _begin_serve(self) -> None:
+        """Empty GPUs and an empty reuse table: each serve starts afresh.
+
+        App ids enter the workload key only where a per-GPU serve reads
+        them: an active fault plan (resolved as :class:`SharingSystem`
+        does, environment included) hashes them, an SLO spec or per-app
+        SLO targets class them, trace records name them, and an opaque
+        system factory might read anything.
+        """
+        self.placer = self._new_placer()
+        self._served: Dict[tuple, _ServedGPU] = {}
+        self._tenant_keys: Dict[Tuple[int, int], Tuple[WorkloadBinding, tuple]] = {}
+        factory = self.system_factory
+        kwargs = {**getattr(factory, "keywords", {}), **self.system_kwargs}
+        plan = kwargs.get("fault_plan") or resolve_fault_plan()
+        self._ids_in_key = (
+            (plan is not None and plan.active)
+            or kwargs.get("slo") is not None
+            or bool(getattr(kwargs.get("config"), "slo_targets_us", None))
+            or not isinstance(getattr(factory, "func", factory), type)
+            or self.tracer is not None
+        )
+
+    def _workload_key(self, bindings: Sequence[WorkloadBinding]) -> tuple:
+        """What a GPU's serve reads of its tenants, slot by slot: each
+        app's name, kind, kernel list (by identity, pinned by the cached
+        binding), memory, quota, factory key and, if read, app id."""
+        keys = []
+        for binding in bindings:
+            app = binding.app
+            slot = (id(app), id(binding.process_factory))
+            if slot not in self._tenant_keys:
+                key = (app.name, app.kind, id(app.kernels), app.memory_mb, app.quota,
+                       _factory_key(binding.process_factory),
+                       app.app_id if self._ids_in_key else None)
+                self._tenant_keys[slot] = (binding, key)
+            keys.append(self._tenant_keys[slot][1])
+        return tuple(keys)
+
+    def _gpu_backend(self, backend: Optional[str], gpus: int) -> Optional[str]:
+        """The fan-out backend for ``gpus`` GPUs to simulate."""
+        return backend
+
+    def _serve_distinct(
+        self,
+        gpu_bindings: Sequence[Tuple[int, List[WorkloadBinding]]],
+        jobs: Optional[int],
+        backend: Optional[str],
+        offset_us: float = 0.0,
+    ) -> Dict[int, ServingResult]:
+        """Each GPU's result, simulating only workloads new to this serve:
+        the first GPU with a new key serves it, the others get a relabelled
+        copy.  Traced keys hold the ids, so only a later epoch repeats one;
+        its records are absorbed again, with new request ids."""
+        keys = {index: self._workload_key(bindings) for index, bindings in gpu_bindings}
+        fresh: Dict[tuple, Tuple[int, List[WorkloadBinding]]] = {}
+        for index, bindings in gpu_bindings:
+            if keys[index] not in self._served:
+                fresh.setdefault(keys[index], (index, bindings))
+        if fresh:
+            results, records = serve_gpus(
+                list(fresh.values()),
+                self.system_factory,
+                self.system_kwargs,
+                jobs=jobs,
+                trace=self.tracer is not None,
+                backend=self._gpu_backend(backend, len(fresh)),
+            )
+            for key, (index, bindings) in fresh.items():
+                self._served[key] = _ServedGPU(bindings, results[index], records.get(index, []))
+        served_now = {index for index, _ in fresh.values()}
+        per_gpu: Dict[int, ServingResult] = {}
+        for index, bindings in gpu_bindings:
+            entry = self._served[keys[index]]
+            per_gpu[index] = entry.relabelled(bindings)
+            if self.tracer is not None:
+                gpu_records = entry.records if index in served_now else _renumbered(entry.records)
+                self.tracer.absorb(gpu_records, index, offset_us=offset_us)
+        return per_gpu
 
     def _system_name(self) -> str:
         return f"cluster/{system_name(self.system_factory, self.system_kwargs)}"
@@ -290,7 +442,7 @@ class ClusterController:
             raise ValueError("duplicate app_ids in cluster workload")
 
         # Each serve places onto empty GPUs, whatever an earlier serve left.
-        self.placer = self._new_placer()
+        self._begin_serve()
         placements = self.placer.place_all([b.app for b in bindings])
         placement_cost = self.placer.placement_cost()
         if self.tracer is not None:
@@ -305,16 +457,7 @@ class ClusterController:
             (gpu_index, [by_app[app.app_id] for app in apps])
             for gpu_index, apps in sorted(placements.items())
         ]
-        per_gpu, records = serve_gpus(
-            gpu_bindings,
-            self.system_factory,
-            self.system_kwargs,
-            jobs=jobs,
-            trace=self.tracer is not None,
-            backend=backend,
-        )
-        for gpu_index, gpu_records in records.items():
-            self.tracer.absorb(gpu_records, gpu_index)
+        per_gpu = self._serve_distinct(gpu_bindings, jobs, backend)
         # Merge in GPU slot-index order — deterministic regardless of
         # pool completion order.
         merged = self._merge([per_gpu[gpu_index] for gpu_index, _ in gpu_bindings])

@@ -21,17 +21,14 @@ Per epoch the orchestrator:
    defragmenting migration, retry once more → shed the application,
    accounting its offered requests so ``completed + shed == arrived``
    holds cluster-wide;
-4. serves each occupied GPU whose ordered tenant list is new in this
-   run (optionally in parallel via the shared process pool) and merges
-   the epoch's results.  GPUs do not interfere (§4.2.2), so a GPU's
-   pass depends only on its system and its ordered tenants — each the
-   deployed ``Application`` plus its arrival-process factory.  A GPU
-   whose list an earlier epoch of the same ``serve`` already ran
-   reuses that epoch's result (and, under tracing, its per-GPU records
-   at the new epoch's offset, with fresh request ids) instead of
-   simulating the same pass again.  A degraded quota is a new
-   ``Application``, so it misses; a migrated tenant list hits on any
-   GPU, since every GPU shares one spec.
+4. serves each occupied GPU whose workload — what its serve reads of
+   its tenants in slot order (:meth:`ClusterController._workload_key`)
+   — is new in this run, optionally over the shared process pool, and
+   merges the epoch.  A GPU whose workload another GPU or an earlier
+   epoch already ran reuses that result with its app ids renamed (and,
+   under tracing, its records at the new offset with fresh request
+   ids).  A degraded quota misses; a migrated list or a replica of
+   another GPU's mix hits on any GPU, since every GPU shares one spec.
 
 Epoch results chain into one :class:`ServingResult` via
 :meth:`ServingResult.merge` with per-epoch cluster-clock offsets, and
@@ -44,24 +41,18 @@ every decision lands on an engine-less
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..apps.application import Application, new_request_id
+from ..apps.application import Application
 from ..core.runtime import BlessRuntime
 from ..gateway.slo import DEGRADE_FACTORS
 from ..gpusim.device import GPUSpec
 from ..metrics.stats import ServingResult
-from ..obs.events import (
-    CLUSTER_DEPART,
-    CLUSTER_EPOCH,
-    CLUSTER_MIGRATE,
-    CLUSTER_SHED,
-    TraceEvent,
-)
+from ..obs.events import CLUSTER_DEPART, CLUSTER_EPOCH, CLUSTER_MIGRATE, CLUSTER_SHED
 from ..parallel import resolve_backend
 from ..workloads.arrivals import ArrivalProcess, drain_process
 from ..workloads.suite import WorkloadBinding, estimated_solo_us
-from .controller import ClusterController, SystemFactory, serve_gpus
+from .controller import ClusterController, SystemFactory
 from .placement import PlacementPolicy
 
 #: Below this many GPUs to serve in an epoch, the serve fans out
@@ -145,55 +136,6 @@ class OnlineClusterResult:
         return self.merged.mean_of_app_means() / 1000.0
 
 
-#: A GPU's workload within one serve: ``(id(app), id(process_factory))``
-#: per tenant, in slot order.
-WorkloadKey = Tuple[Tuple[int, int], ...]
-
-
-@dataclass
-class _ServedGPU:
-    """One simulated GPU pass, kept for reuse by later epochs.
-
-    ``bindings`` pins the objects whose ids form the key, so no id can
-    be reused while the entry lives.
-    """
-
-    bindings: List[WorkloadBinding]
-    result: ServingResult
-    records: List[TraceEvent]
-
-
-def _workload_key(bindings: Sequence[WorkloadBinding]) -> WorkloadKey:
-    return tuple((id(b.app), id(b.process_factory)) for b in bindings)
-
-
-def _renumbered(records: Sequence[TraceEvent]) -> List[TraceEvent]:
-    """``records`` with every request id replaced by a new one.
-
-    A reused pass enters the trace as new requests: the trace analyzer
-    keys requests on ``(app_id, request_id)``, so repeating the first
-    pass's ids would fold two epochs' requests into one.
-    """
-    new_ids: Dict[int, int] = {}
-    out: List[TraceEvent] = []
-    for record in records:
-        raw = record.args.get("request_id")
-        if raw is None or raw < 0:
-            out.append(record)
-            continue
-        if raw not in new_ids:
-            new_ids[raw] = new_request_id()
-        out.append(
-            TraceEvent(
-                ts_us=record.ts_us,
-                etype=record.etype,
-                app_id=record.app_id,
-                args={**record.args, "request_id": new_ids[raw]},
-            )
-        )
-    return out
-
-
 def offered_requests(binding: WorkloadBinding) -> int:
     """How many requests a binding would submit in one epoch.
 
@@ -209,10 +151,10 @@ def offered_requests(binding: WorkloadBinding) -> int:
 class OnlineClusterController(ClusterController):
     """The cluster controller plus an epoch loop.
 
-    Placement records, cost records, the per-GPU merge and the catalog
-    row come from :class:`ClusterController`; this class adds
-    departures, migration, the admission ladder, the per-run reuse
-    table and the epoch chain.
+    Placement records, cost records, the per-GPU reuse table, the merge
+    and the catalog row come from :class:`ClusterController`; this
+    class adds departures, migration, the admission ladder and the
+    epoch chain.
     """
 
     def __init__(
@@ -233,6 +175,12 @@ class OnlineClusterController(ClusterController):
         # app_id -> the binding's original process factory; placements
         # hold the (possibly quota-degraded) deployed Application.
         self._factories: Dict[str, Callable[[], ArrivalProcess]] = {}
+
+    def _gpu_backend(self, backend: Optional[str], gpus: int) -> str:
+        """In-process below ``INPROC_GPU_THRESHOLD`` GPUs to simulate,
+        unless ``backend`` (or ``REPRO_BACKEND``) names one."""
+        resolved = resolve_backend(backend)
+        return "inproc" if resolved == "auto" and gpus < INPROC_GPU_THRESHOLD else resolved
 
     # -- admission ladder ------------------------------------------------
     def _try_place(self, app: Application) -> Optional[int]:
@@ -316,8 +264,8 @@ class OnlineClusterController(ClusterController):
         app arrives and departs); ``jobs`` fans occupied GPUs over the
         shared process pool each epoch, byte-identical to serial.
         ``backend=None`` picks per epoch: fewer than
-        ``INPROC_GPU_THRESHOLD`` GPUs to serve (those whose tenant list
-        is new this run) serve in-process (the pool's submit+pickle tax
+        ``INPROC_GPU_THRESHOLD`` GPUs to serve (those whose workload is
+        new this run) serve in-process (the pool's submit+pickle tax
         exceeds such epochs' work), more go to the pool; pass
         ``"inproc"``/``"pool"`` to force.  Every call starts from empty
         GPUs, new :class:`ClusterStats` and no deployed tenants.
@@ -342,10 +290,9 @@ class OnlineClusterController(ClusterController):
                 + [1]
             )
 
-        self.placer = self._new_placer()
+        self._begin_serve()
         self.stats = ClusterStats()
         self._factories = {}
-        served: Dict[WorkloadKey, _ServedGPU] = {}
         per_epoch: List[ServingResult] = []
         offsets: List[float] = []
         placements: List[Dict[int, List[str]]] = []
@@ -397,8 +344,8 @@ class OnlineClusterController(ClusterController):
                 epoch_costs.append(epoch_cost)
                 self._emit_cost(epoch_cost, epoch=epoch)
 
-            # 4. Serve each occupied GPU whose tenant list is new in
-            # this run; the others reuse the pass that first ran it.
+            # 4. Serve each occupied GPU whose workload is new in this
+            # run; the others reuse the pass that first ran it.
             gpu_bindings = [
                 (
                     slot.index,
@@ -420,40 +367,7 @@ class OnlineClusterController(ClusterController):
             )
             if not gpu_bindings:
                 continue
-            keys = {index: _workload_key(bindings) for index, bindings in gpu_bindings}
-            fresh = [
-                (index, bindings)
-                for index, bindings in gpu_bindings
-                if keys[index] not in served
-            ]
-            if fresh:
-                epoch_backend = resolve_backend(backend)
-                if epoch_backend == "auto" and len(fresh) < INPROC_GPU_THRESHOLD:
-                    epoch_backend = "inproc"
-                results, records = serve_gpus(
-                    fresh,
-                    self.system_factory,
-                    self.system_kwargs,
-                    jobs=jobs,
-                    trace=self.tracer is not None,
-                    backend=epoch_backend,
-                )
-                for index, bindings in fresh:
-                    served[keys[index]] = _ServedGPU(
-                        bindings=bindings,
-                        result=results[index],
-                        records=records.get(index, []),
-                    )
-            fresh_gpus = {index for index, _ in fresh}
-            per_gpu: Dict[int, ServingResult] = {}
-            for index, _ in gpu_bindings:
-                entry = served[keys[index]]
-                per_gpu[index] = entry.result
-                if self.tracer is not None:
-                    gpu_records = entry.records
-                    if index not in fresh_gpus:
-                        gpu_records = _renumbered(gpu_records)
-                    self.tracer.absorb(gpu_records, index, offset_us=offset)
+            per_gpu = self._serve_distinct(gpu_bindings, jobs, backend, offset)
             epoch_result = self._merge(
                 [per_gpu[index] for index, _ in gpu_bindings]
             )

@@ -619,6 +619,52 @@ class TestInterferenceEstimator:
         assert est.solo_us(plain) != est.solo_us(copy)
 
 
+class TestJointCacheSoundness:
+    """``InterferenceEstimator._joint_cache`` changes no number: an
+    estimator warmed in another order, and the placements it drives,
+    equal cold ones."""
+
+    def test_warm_and_cold_estimators_agree_on_the_churn(self, monkeypatch):
+        from itertools import combinations_with_replacement
+
+        from repro.cluster import interference
+        from repro.experiments.cluster_scale import churn_schedule
+
+        arrivals = churn_schedule(8, requests=2)
+        one_per_model = {}
+        for arrival in arrivals:
+            one_per_model.setdefault(arrival.binding.app.name, arrival.binding.app)
+        groups = [
+            list(group)
+            for size in (1, 2, 3)
+            for group in combinations_with_replacement(one_per_model.values(), size)
+        ]
+        warm = interference.InterferenceEstimator()
+        for group in reversed(groups):
+            warm.joint_us(group)
+        for group in groups:
+            assert warm.joint_us(group) == interference.InterferenceEstimator().joint_us(
+                group
+            )
+
+        def serve(estimator_factory):
+            monkeypatch.setattr(interference, "InterferenceEstimator", estimator_factory)
+            return OnlineClusterController(
+                num_gpus=8, policy=PlacementPolicy.CONTENTION_AWARE, migrate=True
+            ).serve(arrivals, jobs=1)
+
+        cold = serve(interference.InterferenceEstimator)
+        hits = warm.hits
+        warmed = serve(lambda: warm)
+        assert warm.hits > hits
+        assert warmed.placements == cold.placements
+        assert (
+            warmed.merged.extras["cluster_placement_cost"]
+            == cold.merged.extras["cluster_placement_cost"]
+        )
+        assert fingerprint(warmed.merged) == fingerprint(cold.merged)
+
+
 class TestPlacementCostModel:
     def make(self):
         from repro.cluster import PlacementCostModel

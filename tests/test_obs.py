@@ -412,3 +412,29 @@ class TestCliTrace:
         # One suffixed file per system.
         assert (tmp_path / "serve-GSLICE.json").exists()
         assert (tmp_path / "serve-BLESS.json").exists()
+
+    def test_serve_names_a_system_it_cannot_trace(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CATALOG", "off")
+        out = tmp_path / "t.json"
+        code = main(
+            [
+                "serve",
+                "--models", "R50", "R50",
+                "--load", "B",
+                "--requests", "2",
+                "--systems", "BLESS", "ISO",
+                "--trace", str(out),
+            ]
+        )
+        assert code == 0
+        lines = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("trace:")
+        ]
+        assert len(lines) == 2
+        assert lines[0].startswith(f"trace: {tmp_path / 't-BLESS.json'} (")
+        assert lines[1] == "trace: ISO does not support decision tracing"
+        assert not (tmp_path / "t-ISO.json").exists()

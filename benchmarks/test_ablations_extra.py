@@ -13,10 +13,6 @@ def test_ablations_extra(benchmark):
     data = run_once(benchmark, run, requests=5)
     # Defaults within 10% of the best alternative for every knob.
     assert (
-        data["nsp_predictor"]["wave"]
-        <= data["nsp_predictor"]["paper"] * 1.10
-    )
-    assert (
         data["semi_sp_mode"]["adaptive"]
         <= data["semi_sp_mode"]["static"] * 1.10
     )

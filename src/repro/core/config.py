@@ -51,11 +51,6 @@ class BlessConfig:
     # shortest co-runner stack (Fig. 7(c)'s motivation); "static"
     # applies the fixed split ratio c% of §4.5.2.
     semi_sp_mode: str = "adaptive"
-    # NSP (no-spatial-restriction) duration estimator: "wave" uses the
-    # simulator-calibrated parallel-wave model; "paper" uses Eq. 2's
-    # serialized-at-full-width model, which matches GPUs whose kernels
-    # saturate the device (the authors' testbed).
-    nsp_predictor: str = "wave"
     # Ablation switches (Fig. 20).
     use_multitask_scheduler: bool = True
     use_config_determiner: bool = True
@@ -72,8 +67,6 @@ class BlessConfig:
             raise ValueError("split_ratio must be in [0, 1]")
         if not 0.0 < self.solo_squad_fraction <= 1.0:
             raise ValueError("solo_squad_fraction must be in (0, 1]")
-        if self.nsp_predictor not in ("wave", "paper"):
-            raise ValueError("nsp_predictor must be 'wave' or 'paper'")
         if self.semi_sp_mode not in ("adaptive", "static"):
             raise ValueError("semi_sp_mode must be 'adaptive' or 'static'")
 

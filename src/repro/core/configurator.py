@@ -6,39 +6,39 @@ split of the GPU's ``N`` partitions among the ``K`` active requests
 (``C(N-1, K-1)`` compositions) — and returns the configuration with the
 smallest estimated duration.
 
-Candidates are scored with the paper's two estimators (§4.4.2, in
-``repro.core.predictors``): spatial splits with the
-**interference-free predictor** (Eq. 1, ``t̂ = max_j Σ_i t[n_j%][k_i^j]``
-— the longest per-request stack of restricted-kernel durations) and
-the unrestricted configuration with the **workload-equivalence
-predictor** (Eq. 2 — breadth-first waves at the jointly-activated SM
-fraction).  With tracing on (``docs/observability.md``) each decision
-is recorded as a ``config.chosen`` event carrying both estimates
-(``nsp_us`` = Eq. 2, ``sp_us`` = best Eq. 1) and the pick.
-
-For large ``K`` the composition count explodes (K=8, N=18 → 19 448);
-above ``MAX_ENUMERATED_CONFIGS`` (4096) the determiner switches to a
-proportional seed plus steepest-descent local search, which finds the
-same optimum in the common cases the paper evaluates (the objective —
-the max of per-app stacks, Eq. 1 — is unimodal along single-partition
-moves).
+Spatial splits are scored with the paper's **interference-free
+predictor** (Eq. 1, §4.4.2, in ``repro.core.predictors``:
+``t̂ = max_j Σ_i t[n_j%][k_i^j]``, the longest per-request stack of
+restricted-kernel durations) and the unrestricted configuration with
+the simulator-calibrated **concurrent-wave** estimate
+(``concurrent_wave_estimate``: each request's stack at its
+congestion-scaled SM share plus the scattered-interference slowdown),
+which stands in for the paper's Eq. 2 because this simulator runs
+co-resident kernels in parallel.  Every split is scored, for every
+``K <= N`` (K=8, N=18 → 19 448; the largest space, K=9 or 10, is
+24 310); with more requests than partitions only the unrestricted plan
+exists.  With tracing on (``docs/observability.md``) each decision is
+recorded as a ``config.chosen`` event carrying both estimates
+(``nsp_us`` = the concurrent-wave estimate, ``sp_us`` = best Eq. 1)
+and the pick.
 
 Search cost (the §6.9 decision-latency budget):
 
 * **memoization** — every decision is answered from a module-level
   decision table and searched only when that table misses.  The key is
   the squad in *insertion* order, one ``(id(profile), kernel window)``
-  pair per entry, plus the search knobs.  Profiles come from the
-  process-wide profile table (``repro.core.profiler``), so the same
-  app mix in a later run — the next GPU-epoch of an online cluster —
-  finds its decisions there.  Each entry pins its profiles, so an
-  ``id`` is never reused while the entry lives.  Eq. 2 sums in
-  insertion order, so keying on that order makes a table hit return
-  exactly what a fresh search would: the same prediction to the last
-  bit.  Each determiner also counts its run's repeat squads in a
-  bounded LRU of squad signatures (``repro.core.config_cache``), which
-  stores no decision: its hits and misses are the run's
-  ``config_cache_*`` results and select the ``config.chosen`` record;
+  pair per entry, plus ``N`` and the Semi-SP mode.  Profiles come
+  from the process-wide profile table (``repro.core.profiler``), so
+  the same app mix in a later run — the next GPU-epoch of an online
+  cluster — finds its decisions there.  Each entry pins its profiles,
+  so an ``id`` is never reused while the entry lives.  The
+  unrestricted estimate sums in insertion order, so keying on that
+  order makes a table hit return exactly what a fresh search would:
+  the same prediction to the last bit.  Each determiner also counts
+  its run's repeat squads in a bounded LRU of squad signatures
+  (``repro.core.config_cache``), which stores no decision: its hits
+  and misses are the run's ``config_cache_*`` results and select the
+  ``config.chosen`` record;
 * **vectorization** — a miss builds one ``(K, N)`` Eq. 1 stack-cost
   matrix plus an ``(n_configs, K)`` composition matrix and reduces them
   in bulk with numpy.
@@ -168,10 +168,6 @@ class _Decided:
         )
 
 
-# Cap on exhaustively enumerated SP configurations; above this the
-# determiner falls back to proportional-split + local search.
-MAX_ENUMERATED_CONFIGS = 4096
-
 # Capacity of each determiner's signature LRU, whose hits and misses
 # are the run's ``config_cache_*`` counts.
 CONFIG_CACHE_SIZE = 1024
@@ -199,13 +195,6 @@ class ExecutionConfigDeterminer:
         return self.cache.stats
 
     # ------------------------------------------------------------------
-    def _nsp_estimate(
-        self, squad: KernelSquad, profiles: Mapping[str, AppProfile]
-    ) -> float:
-        if self.config.nsp_predictor == "paper":
-            return workload_equivalence_estimate(squad, profiles)
-        return concurrent_wave_estimate(squad, profiles)
-
     def determine(
         self,
         squad: KernelSquad,
@@ -213,10 +202,10 @@ class ExecutionConfigDeterminer:
     ) -> ExecutionConfig:
         """Pick the fastest configuration for ``squad``.
 
-        Compares the unrestricted plan (scored with Eq. 2,
-        workload equivalence) against every strict spatial split
-        (each scored with Eq. 1, the max per-request stack) and
-        returns the argmin as an :class:`ExecutionConfig`.  The answer
+        Compares the unrestricted plan (scored with the concurrent-wave
+        estimate) against every strict spatial split (each scored with
+        Eq. 1, the max per-request stack) and returns the argmin as an
+        :class:`ExecutionConfig`.  The answer
         comes from the process-wide decision table, which searches only
         on a table miss.  The run's signature LRU counts the lookup
         (:meth:`KernelSquad.signature`): a hit traces as a
@@ -233,7 +222,6 @@ class ExecutionConfigDeterminer:
                 for app_id, entry in squad.entries.items()
             ),
             config.num_partitions,
-            config.nsp_predictor,
             config.semi_sp_mode,
         )
         decided = _DECISIONS.get(table_key)
@@ -291,13 +279,14 @@ class ExecutionConfigDeterminer:
         """``(chosen, candidates, nsp_us, sp_us)`` of a full search."""
         app_ids = squad.app_ids
 
+        nsp_duration = concurrent_wave_estimate(squad, profiles)
         # A single active request simply gets the whole GPU.
         if len(app_ids) == 1:
-            duration = self._nsp_estimate(squad, profiles)
-            chosen = ExecutionConfig(partitions=None, predicted_duration_us=duration)
-            return chosen, 1, duration, None
+            chosen = ExecutionConfig(
+                partitions=None, predicted_duration_us=nsp_duration
+            )
+            return chosen, 1, nsp_duration, None
 
-        nsp_duration = self._nsp_estimate(squad, profiles)
         best_sp = self._best_spatial(squad, profiles)
 
         if best_sp is not None and best_sp.predicted_duration_us < nsp_duration:
@@ -328,9 +317,9 @@ class ExecutionConfigDeterminer:
     ) -> None:
         """Trace a fresh (cache-miss) configuration decision (§4.4).
 
-        ``nsp_us`` is the Eq. 2 workload-equivalence estimate of the
-        unrestricted plan; ``sp_us`` the best Eq. 1 stacked estimate over
-        the spatial space (None when no spatial plan exists).
+        ``nsp_us`` is the concurrent-wave estimate of the unrestricted
+        plan; ``sp_us`` the best Eq. 1 stacked estimate over the spatial
+        space (None when no spatial plan exists).
         """
         if self.trace is None:
             return
@@ -409,9 +398,7 @@ class ExecutionConfigDeterminer:
         if k > n:
             return None  # cannot give every request a partition
         stack = self._stack_matrix(squad, profiles, app_ids)
-        if composition_count(n, k) <= MAX_ENUMERATED_CONFIGS:
-            return self._enumerate_vectorized(stack, app_ids, n)
-        return self._local_search(squad, profiles, stack, app_ids, n)
+        return self._enumerate_vectorized(stack, app_ids, n)
 
     def _enumerate_vectorized(
         self,
@@ -444,61 +431,6 @@ class ExecutionConfigDeterminer:
         return ExecutionConfig(
             partitions=dict(zip(app_ids, (int(p) for p in splits[index]))),
             predicted_duration_us=float(best_makespan),
-        )
-
-    def _local_search(
-        self,
-        squad: KernelSquad,
-        profiles: Mapping[str, AppProfile],
-        stack: np.ndarray,
-        app_ids: List[str],
-        n: int,
-    ) -> ExecutionConfig:
-        k = len(app_ids)
-
-        def score_of(split: Tuple[int, ...]) -> Tuple[float, float]:
-            costs = stack[np.arange(k), np.asarray(split) - 1]
-            return (float(costs.max()), float(costs.sum()))
-
-        # Seed: partitions proportional to each request's full-GPU stack
-        # (durations only — dispatch gaps don't scale with partitions).
-        stacks = []
-        for app_id in app_ids:
-            entry = squad.entry(app_id)
-            profile = profiles[app_id]
-            cols = np.asarray(entry.kernel_indices, dtype=int)
-            stacks.append(float(profile.durations[-1, cols].sum()))
-        total_stack = sum(stacks) or 1.0
-        split = [max(1, round(n * s / total_stack)) for s in stacks]
-        # Repair the seed to sum exactly to n.
-        while sum(split) > n:
-            i = max(range(k), key=lambda j: split[j])
-            if split[i] > 1:
-                split[i] -= 1
-        while sum(split) < n:
-            i = max(range(k), key=lambda j: stacks[j] / split[j])
-            split[i] += 1
-
-        best = tuple(split)
-        best_score = score_of(best)
-        improved = True
-        while improved:
-            improved = False
-            for src in range(k):
-                for dst in range(k):
-                    if dst == src or best[src] <= 1:
-                        continue
-                    candidate = list(best)
-                    candidate[src] -= 1
-                    candidate[dst] += 1
-                    score = score_of(tuple(candidate))
-                    if score < best_score:
-                        best = tuple(candidate)
-                        best_score = score
-                        improved = True
-        return ExecutionConfig(
-            partitions=dict(zip(app_ids, best)),
-            predicted_duration_us=best_score[0],
         )
 
 

@@ -124,8 +124,8 @@ def concurrent_wave_estimate(
     hardware shares SMs max-min fairly, so the squad lasts as long as
     the *slowest per-request stack*, with each kernel running at its
     congestion-scaled share plus the scattered-interference slowdown.
-    This is the default NSP estimator
-    (``BlessConfig.nsp_predictor = "wave"``).
+    This is the determiner's NSP estimator; Eq. 2 remains the cluster
+    placer's and the quota-proportional ablation's.
     """
     entries = list(squad.entries.values())
     if not entries:

@@ -64,7 +64,7 @@ class BlessRuntime(SharingSystem):
     * ``trace`` — opt into decision tracing: ``True`` attaches a
       :class:`~repro.obs.tracer.DecisionTracer` recording squad
       composition (with every request's relative progress ``P̃``),
-      Eq. 1/Eq. 2 configuration decisions, Semi-SP switches, and fault
+      Eq. 1/NSP configuration decisions, Semi-SP switches, and fault
       events on the simulated clock; ``None`` defers to the
       ``REPRO_TRACE`` environment variable (``docs/observability.md``).
 

@@ -82,11 +82,11 @@ class KernelSquad:
         kernel-index window (which, given the profile, fixes the
         per-kernel duration vector exactly) and the profile's content
         ``digest`` (so a same-named app with another trace gets its own
-        key); globally: ``K``, ``N``
-        and the search knobs.  The per-app terms are sorted, so the key
-        is independent of both squad insertion order and client
-        identity: two clients serving the same model at the same quota
-        over the same kernel window count as one repeat squad.
+        key); globally: ``K``, ``N`` and the Semi-SP mode.  The per-app
+        terms are sorted, so the key is independent of both squad
+        insertion order and client identity: two clients serving the
+        same model at the same quota over the same kernel window count
+        as one repeat squad.
         """
         terms = sorted(
             (
@@ -101,7 +101,6 @@ class KernelSquad:
             tuple(terms),
             len(terms),
             config.num_partitions,
-            config.nsp_predictor,
             config.semi_sp_mode,
         )
 

@@ -1,10 +1,8 @@
 """Extra ablations of this reproduction's own design choices.
 
-Beyond the paper's Fig. 20 (multi-task scheduler / determiner), three
-modelling and mechanism choices called out in DESIGN.md are swept here:
+Beyond the paper's Fig. 20 (multi-task scheduler / determiner), two
+mechanism choices called out in DESIGN.md are swept here:
 
-* ``nsp_predictor`` — simulator-calibrated independent-flow estimator
-  vs the paper's Eq. 2 serialized-at-full-width model;
 * ``semi_sp_mode`` — adaptive rears vs the paper's static c% split;
 * ``solo squad budget`` — how tightly solo streaming is chopped, which
   bounds a newly arriving request's reconfiguration wait.
@@ -41,12 +39,6 @@ def _mean_over_pairs(requests: int, load: str, **runtime_kwargs) -> float:
 def run(requests: int = 6, load: str = "B") -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {}
 
-    out["nsp_predictor"] = {
-        predictor: _mean_over_pairs(
-            requests, load, config=BlessConfig(nsp_predictor=predictor)
-        )
-        for predictor in ("wave", "paper")
-    }
     out["semi_sp_mode"] = {
         mode: _mean_over_pairs(
             requests, load, config=BlessConfig(semi_sp_mode=mode)

@@ -48,12 +48,11 @@ A kernel carries its own device queue and completion callback
 does no dict bookkeeping for either.
 
 A rebalance takes its rates from one path: a memo per membership
-signature in an engine-local LRU, backed for one- and two-kernel sets
-by a process-wide table keyed on portable rate rows, so serve N+1
-reuses serve N's rates.  A miss runs one scalar rate kernel.  Each
-context has at most one live device queue (``create_queue`` enforces
-it), so every running kernel is alone in its context and the rate
-kernel's allocation is a water-fill of the kernels' wants.
+signature in an engine-local LRU.  A miss runs one scalar rate
+kernel.  Each context has at most one live device queue
+(``create_queue`` enforces it), so every running kernel is alone in its
+context and the rate kernel's allocation is a water-fill of the
+kernels' wants.
 
 ``validate=True`` keeps the same loop and rate path.  After every
 rebalance it recomputes the rates through the reference pipeline
@@ -105,19 +104,6 @@ _REBALANCE_CACHE_SIZE = 8192
 # Only track hit recency (LRU move-to-end) once the cache could
 # plausibly fill; below this nothing is evicted anyway.
 _REBALANCE_CACHE_TRACK = _REBALANCE_CACHE_SIZE // 2
-
-# Process-wide rebalance memo: engines are created per serve, so their
-# signature-keyed L1 memos die with them while the signature *space*
-# (which app layers co-run) repeats across the serves of a sweep.  A
-# key is built from the engine's rate rows, which hold only portable
-# values, so serve N+1 starts warm.
-# Only running sets of one or two kernels are probed and filled: those
-# repeat across serves, while wider sets almost never do and would only
-# pay for the key.  Values are immutable result tuples computed by the
-# exact same arithmetic, so sharing cannot change results; the table
-# is swept wholesale if it ever fills.
-_RATES_L2_SIZE = 65536
-_rates_l2: Dict[tuple, tuple] = {}
 
 # The fit bound of the rate kernel: when every kernel runs at one
 # priority level and the wants sum to at most this, each want is
@@ -655,12 +641,10 @@ class SimEngine:
     def _rebalance(self) -> None:
         """Recompute rates for all running kernels and the next completion.
 
-        The rates are memoised per membership signature; for running
-        sets of one or two kernels the memo adds a process-wide second
-        level, keyed on their rate rows, so the engines of later serves
-        in a sweep start warm.  Recency is only tracked once the memo is
-        half full — below that nothing will be evicted, so
-        ``move_to_end`` on every hit would be pure overhead.
+        The rates are memoised per membership signature.  Recency is
+        only tracked once the memo is half full — below that nothing
+        will be evicted, so ``move_to_end`` on every hit would be pure
+        overhead.
         One apply pass per running list first drains each kernel's work
         at its old rate up to ``now`` (the busy-time accrual), then sets
         its new rate and folds its finish time into the next completion;
@@ -698,26 +682,7 @@ class SimEngine:
             if len(cache) >= _REBALANCE_CACHE_TRACK:
                 cache.move_to_end(key)
         else:
-            rows = self._running_rows
-            n = len(rows)
-            # The process-wide memo only where it hits: a lone kernel
-            # keys on its row, a pair on both rows; wider sets skip it.
-            if n == 1:
-                l2_key = rows[0]
-            elif n == 2:
-                l2_key = (rows[0], rows[1])
-            else:
-                l2_key = None
-            if l2_key is None:
-                cached = self._compute_rates(rows)
-            else:
-                l2 = _rates_l2
-                cached = l2.get(l2_key)
-                if cached is None:
-                    cached = self._compute_rates(rows)
-                    if len(l2) >= _RATES_L2_SIZE:
-                        l2.clear()
-                    l2[l2_key] = cached
+            cached = self._compute_rates(self._running_rows)
             cache[key] = cached
             if len(cache) > _REBALANCE_CACHE_SIZE:
                 cache.popitem(last=False)
@@ -787,9 +752,8 @@ class SimEngine:
         of a context running one kernel (same tolerances and operations
         as ``hwsched.waterfill``), and ``solo`` is ``spec.rate_at(want)``
         (0.0 for a zero want), the rate before slowdown of a kernel
-        granted its whole want.  Every field is a portable value, so
-        rows also key the process-wide memo; context identity stays in
-        the packed ``_sig_parts`` int.
+        granted its whole want.  Context identity stays out of the row,
+        in the packed ``_sig_parts`` int.
         """
         spec = kernel.spec
         cap = ctx.sm_limit
@@ -1495,10 +1459,6 @@ class SimEngine:
             "events_processed": self._events_processed,
             "rebalances": self._rebalances,
             "rebalances_skipped": self._rebalances_skipped,
-            # L2 memo hits are deliberately absent: that memo is
-            # process-global, so its hit count depends on what ran
-            # earlier in the process (run topology), and results must
-            # fingerprint identically under serial and parallel serves.
             "rebalance_cache_hits": self._rebalance_cache_hits,
             "epoch_batches": self._epoch_batches,
             "epoch_kernels_advanced": self._epoch_kernels_advanced,

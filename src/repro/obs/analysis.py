@@ -8,7 +8,7 @@ a live :class:`~repro.obs.tracer.DecisionTracer` or re-loaded with
   end-to-end span splits into kernel **execution** vs **queue wait**
   vs unaccounted **scheduling gap** — the bubbles BLESS exists to
   squeeze;
-* :func:`predictor_report` pairs each squad's Eq. 1 / Eq. 2 predicted
+* :func:`predictor_report` pairs each squad's Eq. 1 / NSP predicted
   duration (``squad.done`` carries both the prediction the determiner
   committed to and the simulated outcome) and reports the error
   distribution the paper validates in Fig. 10;

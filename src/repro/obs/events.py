@@ -19,7 +19,7 @@ type                      emitted when
 ``squad.composed``        the multi-task scheduler forms a squad (§4.3):
                           members, per-app kernel counts, relative progress P̃
 ``config.chosen``         the determiner picks an execution configuration
-                          (§4.4): Eq. 1 / Eq. 2 estimates, candidate count,
+                          (§4.4): Eq. 1 / NSP estimates, candidate count,
                           signature-LRU hit/miss
 ``config.fallback``       the quota-proportional plan replaced the determiner
                           (ablation or profile-drift bench, Fig. 20)

@@ -86,12 +86,9 @@ def rear_counts(squad, profiles, partitions):
 
 
 def determine(squad, profiles, config):
-    """The determiner's decision for a squad whose spatial space is
-    enumerable (at most ``MAX_ENUMERATED_CONFIGS`` splits)."""
-    if config.nsp_predictor == "paper":
-        nsp = workload_equivalence_estimate_scalar(squad, profiles)
-    else:
-        nsp = concurrent_wave_estimate_scalar(squad, profiles)
+    """The determiner's decision for a squad: the unrestricted
+    concurrent-wave estimate against a scan of every spatial split."""
+    nsp = concurrent_wave_estimate_scalar(squad, profiles)
     app_ids = squad.app_ids
     best = None
     if len(app_ids) > 1:

@@ -1,5 +1,5 @@
-"""The docs gate (``tools/check_docs.py``) catches names of modules and
-files that are not in the tree."""
+"""The docs gate (``tools/check_docs.py``) catches names of modules,
+files and constants that are not in the tree."""
 
 import importlib.util
 import shutil
@@ -39,6 +39,9 @@ def test_repo_docs_name_only_what_exists():
      "names missing module repro.apps.models.build_model_dag"),
     ("Graphs live in `core/graphs.py`.", "names missing file core/graphs.py"),
     ("Run `python tools/no_such_tool.py`.", "names missing file tools/no_such_tool.py"),
+    ("Above `MAX_ENUMERATED_CONFIGS` splits, search locally.",
+     "names missing constant MAX_ENUMERATED_CONFIGS"),
+    ("The cap is `_RATES_L3_SIZE = 65536`.", "names missing constant _RATES_L3_SIZE"),
 ])
 def test_stale_name_fails(tree, line, error):
     assert check_docs.check_named_files(tree) == []
@@ -51,6 +54,8 @@ def test_stale_name_fails(tree, line, error):
 @pytest.mark.parametrize("line", [
     "`repro.core.runtime.BlessRuntime.serve` and `repro.gpusim`",
     "`repro.apps.models.inference_app` in `apps/models.py`",
+    "`CONFIG_CACHE_SIZE`, `_DECISIONS` and `KAPPA_RESTRICTED = 0.56`",
+    "`REPRO_NO_SUCH_VAR`, `N = 18`, `KAPPA_*` and `PIP_NO_BUILD_ISOLATION=0 pip`",
 ])
 def test_existing_names_pass(tree, line):
     plant(tree / "DESIGN.md", line)

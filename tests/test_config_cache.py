@@ -108,19 +108,17 @@ class TestCachedEqualsUncached:
     @given(
         squad_strategy,
         st.randoms(use_true_random=False),
-        st.sampled_from(["wave", "paper"]),
         st.sampled_from(["adaptive", "static"]),
         st.integers(min_value=2, max_value=18),
     )
     def test_determine_matches_oracle(
-        self, specs, rng, nsp_predictor, semi_sp_mode, num_partitions
+        self, specs, rng, semi_sp_mode, num_partitions
     ):
         """The vectorized search, cached and uncached, picks the
         exhaustive scan's plan (tests/config_oracle.py).  Few partitions
         stretch the restricted stacks, so the unrestricted plan wins too."""
         config = BlessConfig(
             num_partitions=num_partitions,
-            nsp_predictor=nsp_predictor,
             semi_sp_mode=semi_sp_mode,
         )
         apps = [

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.apps.application import Application, AppKind, Request
-from repro.apps.models import inference_app
 from repro.core import configurator
 from repro.core.config import BlessConfig
 from repro.core.configurator import (
@@ -248,30 +247,32 @@ class TestDeterminer:
             )
             assert best.predicted_duration_us <= duration + 1e-9
 
-    def test_local_search_matches_enumeration(self, toy_setup, monkeypatch):
-        squad, profiles = toy_setup
-        exhaustive = ExecutionConfigDeterminer(BlessConfig()).determine(squad, profiles)
-        monkeypatch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", 0)
+    @pytest.mark.parametrize("k", [6, 9, 18, 19])
+    def test_every_k_matches_the_oracle(self, k, monkeypatch):
+        """Every K <= N is enumerated in full: at K = 6 and 9 (6,188 and
+        24,310 splits) and K = N (one split) the pick is the oracle's
+        scan's; at K = 19 no split exists, so the plan is unrestricted."""
         monkeypatch.setattr(configurator, "_DECISIONS", {})
-        forced_local = ExecutionConfigDeterminer(BlessConfig()).determine(
-            squad, profiles
-        )
-        assert forced_local.predicted_duration_us == pytest.approx(
-            exhaustive.predicted_duration_us, rel=0.02
-        )
-
-    def test_local_search_split_valid_many_apps(self):
-        profiler = OfflineProfiler()
+        config = BlessConfig()
         apps = [
-            inference_app(m).with_quota(0.125, app_id=f"{m}#{i}")
-            for i, m in enumerate(["VGG", "R50", "R101", "BERT"] * 2)
+            toy_app(f"m{i}", [40.0 + 37.0 * i, 25.0 + 11.0 * (i % 4)], demand=1.0)
+            for i in range(k)
         ]
-        squad = squad_of([(a, range(0, 6)) for a in apps])
+        profiler = OfflineProfiler(config=config)
+        squad = squad_of([(a, [0, 1]) for a in apps])
         profiles = {a.app_id: profiler.profile(a) for a in apps}
-        config = ExecutionConfigDeterminer(BlessConfig()).determine(squad, profiles)
-        if config.partitions is not None:
-            assert all(v >= 1 for v in config.partitions.values())
-            assert sum(config.partitions.values()) == 18
+        result = ExecutionConfigDeterminer(config).determine(squad, profiles)
+        expected = oracle_determine(squad, profiles, config)
+        assert result.partitions == expected.partitions
+        assert result.rear_counts == expected.rear_counts
+        assert result.predicted_duration_us == pytest.approx(
+            expected.predicted_duration_us, rel=1e-12
+        )
+        if k <= config.num_partitions:
+            assert result.is_spatial
+            assert sum(result.partitions.values()) == config.num_partitions
+        else:
+            assert result.partitions is None
 
     def test_more_requests_than_partitions_falls_back_to_nsp(self):
         config = BlessConfig(num_partitions=2)
@@ -285,11 +286,12 @@ class TestDeterminer:
         assert result.partitions is None
 
     def test_unrestricted_wins_when_halving_stretches_the_long_stack(self):
-        """On two partitions each stack doubles, so Eq. 2's serialised
-        150us beats the best split's 200us."""
-        config = BlessConfig(num_partitions=2, nsp_predictor="paper")
+        """On two partitions the saturating stack doubles, so the
+        concurrent-wave estimate (~151.9us, the light kernel fitting
+        beside it) beats the best split's 195us."""
+        config = BlessConfig(num_partitions=2)
         a = toy_app("a", [100.0], demand=1.0)
-        b = toy_app("b", [50.0], demand=1.0)
+        b = toy_app("b", [50.0], demand=0.2)
         profiler = OfflineProfiler(config=config)
         squad = squad_of([(a, [0]), (b, [0])])
         profiles = {"a": profiler.profile(a), "b": profiler.profile(b)}
@@ -299,6 +301,9 @@ class TestDeterminer:
         assert result.predicted_duration_us == pytest.approx(
             expected.predicted_duration_us, rel=1e-12
         )
+        best_split = exhaustive_spatial(squad, profiles, ["a", "b"], 2)
+        assert result.predicted_duration_us == pytest.approx(151.89, abs=0.01)
+        assert best_split.predicted_duration_us == pytest.approx(195.0)
 
     def test_adaptive_rear_counts_attached(self, toy_setup):
         squad, profiles = toy_setup

@@ -145,7 +145,6 @@ class TestAblations:
             BlessConfig(use_multitask_scheduler=False),
             BlessConfig(use_config_determiner=False),
             BlessConfig(semi_sp_mode="static"),
-            BlessConfig(nsp_predictor="paper"),
         ):
             result = BlessRuntime(config=config).serve(
                 bind_load(apps, "C", requests=2)
@@ -184,8 +183,6 @@ class TestHyperParameters:
             BlessConfig(split_ratio=1.5)
         with pytest.raises(ValueError):
             BlessConfig(max_kernels_per_squad=0)
-        with pytest.raises(ValueError):
-            BlessConfig(nsp_predictor="bogus")
         with pytest.raises(ValueError):
             BlessConfig(semi_sp_mode="bogus")
         with pytest.raises(ValueError):

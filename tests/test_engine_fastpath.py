@@ -4,8 +4,7 @@ Covers: the engine against the naive oracle stepper (tests/
 engine_oracle.py), batched kernel launch,
 gap wake-ups as pseudo-events, lazy-cancel heap compaction, the bounded
 timeline ring buffer, the surfaced engine counters, the rate kernel
-against the reference allocation pipeline, the one- and two-kernel
-rule of the process-wide rate memo, and ``validate=True`` on the
+against the reference allocation pipeline, and ``validate=True`` on the
 shipped path.
 """
 
@@ -587,45 +586,6 @@ class TestRateKernel:
 
 
 # ----------------------------------------------------------------------
-# The process-wide rate memo: one- and two-kernel sets only
-# ----------------------------------------------------------------------
-def kernels_in_l2_key(key):
-    """A lone kernel keys on its row; a pair on a tuple of two rows."""
-    if not isinstance(key[0], tuple):
-        return 1
-    return sum(isinstance(part, tuple) for part in key)
-
-
-class TestRatesL2:
-    def serve_metrics(self, system):
-        appmod._request_counter = itertools.count()
-        apps = multi_app_mix(4)
-        return result_metrics(system.serve(bind_load(apps, "A", requests=3)))
-
-    def test_cold_and_warm_l2_give_identical_results(self, monkeypatch):
-        widest = []
-        compute_rates = SimEngine._compute_rates
-
-        def recording(self, rows):
-            widest.append(len(rows))
-            return compute_rates(self, rows)
-
-        monkeypatch.setattr(SimEngine, "_compute_rates", recording)
-        for make_system in (BlessRuntime, GSLICESystem):
-            monkeypatch.setattr(engine_mod, "_rates_l2", {})
-            cold = self.serve_metrics(make_system())
-            assert engine_mod._rates_l2
-            warm = self.serve_metrics(make_system())
-            assert warm == cold, make_system.__name__
-            # The serve reached sets of three or more running kernels,
-            # and none of them were memoised process-wide.
-            assert max(widest) >= 3
-            for key in engine_mod._rates_l2:
-                assert kernels_in_l2_key(key) <= 2, key
-            widest.clear()
-
-
-# ----------------------------------------------------------------------
 # validate=True checks the loop that ships
 # ----------------------------------------------------------------------
 def mix_metrics(system):
@@ -636,10 +596,9 @@ def mix_metrics(system):
 
 
 def validate_every_engine(monkeypatch):
-    """Build every ``SimEngine`` with ``validate=True`` and a cold
-    process-wide rate memo; returns the (rate-kernel shape counts,
-    validated rebalances) the run then fills."""
-    monkeypatch.setattr(engine_mod, "_rates_l2", {})
+    """Build every ``SimEngine`` with ``validate=True``; returns the
+    (rate-kernel shape counts, validated rebalances) the run then
+    fills."""
     engine_init = SimEngine.__init__
 
     def validating_init(self, *args, **kwargs):
@@ -722,7 +681,6 @@ class TestValidateOnShippedPath:
     def test_validate_catches_a_wrong_rate(self, monkeypatch):
         # One rate one ulp off, from the kernel that ships: invariants
         # alone would let it through, the reference comparison must not.
-        monkeypatch.setattr(engine_mod, "_rates_l2", {})
         compute_rates = SimEngine._compute_rates
 
         def one_ulp_off(self, rows):

@@ -179,12 +179,11 @@ def squad_of(apps_with_indices):
     return squad
 
 
-@pytest.mark.parametrize("nsp_predictor", ["wave", "paper"])
-def test_reordered_repeat_squad_gets_the_uncached_answer(nsp_predictor):
+def test_reordered_repeat_squad_gets_the_uncached_answer():
     """Each reordering of a squad is one signature (an LRU hit after the
     first) yet gets exactly what a fresh search of that order returns."""
     rng = random.Random(SEED)
-    config = BlessConfig(nsp_predictor=nsp_predictor)
+    config = BlessConfig()
     profiler = OfflineProfiler(config=config)
     for case in range(30):
         pairs = []

@@ -77,19 +77,16 @@ class TestDecisionTable:
     @given(
         st.lists(app_strategy, min_size=1, max_size=8),
         st.randoms(use_true_random=False),
-        st.sampled_from(["wave", "paper"]),
         st.sampled_from(["adaptive", "static"]),
         st.integers(min_value=2, max_value=18),
-        st.sampled_from([1, 64, 4096]),
     )
     def test_warm_table_equals_fresh_search(
-        self, specs, rng, nsp_predictor, semi_sp_mode, partitions, max_enumerated
+        self, specs, rng, semi_sp_mode, partitions
     ):
         """(a) A fresh determiner answered by the warm table returns
         exactly the uncached search's config, prediction included."""
         config = BlessConfig(
             num_partitions=partitions,
-            nsp_predictor=nsp_predictor,
             semi_sp_mode=semi_sp_mode,
         )
         profiler = OfflineProfiler(config=config)
@@ -103,8 +100,6 @@ class TestDecisionTable:
         profiles = {app.app_id: profiler.profile(app) for app in apps}
 
         with pytest.MonkeyPatch.context() as patch:
-            # The table key does not carry the cap, so start it empty.
-            patch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", max_enumerated)
             patch.setattr(configurator, "_DECISIONS", {})
             ExecutionConfigDeterminer(config).determine(squad, profiles)  # warm
             warm = table_only(ExecutionConfigDeterminer(config))
@@ -119,27 +114,29 @@ class TestDecisionTable:
         assert (warm.cache.stats.hits, warm.cache.stats.misses) == (0, 1)
 
     @pytest.mark.parametrize(
-        "max_enumerated, partitions, small_kernels, expect",
+        "partitions, small_kernels, smalls, expect",
         [
             # Half the GPU would double the big stack: NSP wins.
-            (4096, 2, [(1.0, 0.05, 0.0)], "nsp"),
-            # An enumerated spatial plan with adaptive rears.
-            (4096, 18, [(40.0, 0.9, 0.0)] * 6, "rears"),
-            # The same squad above the enumeration cap: local search.
-            (1, 18, [(40.0, 0.9, 0.0)] * 6, "local"),
+            (2, [(1.0, 0.05, 0.0)], 1, "nsp"),
+            # A spatial plan with adaptive rears.
+            (18, [(40.0, 0.9, 0.0)] * 6, 1, "rears"),
+            # Six apps: a 6,188-split space, enumerated in full.
+            (18, [(40.0, 0.9, 0.0)] * 6, 5, "six-apps"),
         ],
+        ids=["nsp", "rears", "six-apps"],
     )
     def test_each_search_branch_served_from_table(
-        self, monkeypatch, max_enumerated, partitions, small_kernels, expect
+        self, monkeypatch, partitions, small_kernels, smalls, expect
     ):
-        monkeypatch.setattr(configurator, "MAX_ENUMERATED_CONFIGS", max_enumerated)
         monkeypatch.setattr(configurator, "_DECISIONS", {})
         config = BlessConfig(num_partitions=partitions)
         big = build_app("big", [(400.0, 1.0, 0.0)] * 6)
-        small = build_app("small", small_kernels)
-        squad = squad_of([(big, range(6)), (small, range(len(small_kernels)))])
+        apps = [big] + [
+            build_app(f"small{i}", small_kernels) for i in range(smalls)
+        ]
+        squad = squad_of([(a, range(a.num_kernels)) for a in apps])
         profiler = OfflineProfiler(config=config)
-        profiles = {a.app_id: profiler.profile(a) for a in (big, small)}
+        profiles = {a.app_id: profiler.profile(a) for a in apps}
 
         fresh = ExecutionConfigDeterminer(config)._determine_uncached(squad, profiles)
         ExecutionConfigDeterminer(config).determine(squad, profiles)
@@ -150,12 +147,13 @@ class TestDecisionTable:
             assert not got.is_spatial
         else:
             assert got.is_spatial and got.rear_counts is not None
-        if expect == "local":
-            assert composition_count(partitions, 2) > max_enumerated
+        # The table entry counts the whole split space as searched.
+        (decided,) = configurator._DECISIONS.values()
+        assert decided.candidates == 1 + composition_count(partitions, len(apps))
 
     def test_insertion_order_is_part_of_the_key(self):
-        """Reordered squads are different table keys (Eq. 2 sums in
-        insertion order), so each gets its own search."""
+        """Reordered squads are different table keys (the NSP estimate
+        sums in insertion order), so each gets its own search."""
         config = BlessConfig()
         a = build_app("order-a", [(100.0, 0.5, 0.0)] * 3)
         b = build_app("order-b", [(60.0, 0.7, 0.0)] * 3)

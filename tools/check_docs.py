@@ -19,7 +19,11 @@ Scans every ``*.md`` under the repo root and ``docs/`` and verifies:
   and ``TREE_DOCS``), names something that exists: a package, a module
   or a top-level name bound in one, and a file whose path ends with the
   one given.  CHANGES.md (history), ROADMAP.md (plans) and the paper
-  notes are exempt: they name files that are gone or not yet written.
+  notes are exempt: they name files that are gone or not yet written;
+* in the same pages, a code span that is exactly an ALL_CAPS name with
+  an underscore (``CONFIG_CACHE_SIZE``, optionally ``= value``) names a
+  module-level binding somewhere in ``src/repro``.  ``REPRO_*``
+  environment variables are exempt.
 
 External links (``http(s)://``, ``mailto:``) are not fetched.  Exits
 non-zero listing every error — this is the CI docs gate
@@ -46,6 +50,8 @@ _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 _DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _PY_PATH = re.compile(r"[\w./-]*\w\.py\b")
+# A whole code span `NAME` or `NAME = value`, NAME in capitals.
+_CONSTANT_SPAN = re.compile(r"(_?[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)*)(?: = .+)?")
 
 #: Root pages that describe the tree as it is, checked with ``docs/``
 #: for names of modules and files that do not exist.
@@ -173,11 +179,21 @@ def tree_py_files(root: Path) -> List[str]:
     return files
 
 
+def module_constants(root: Path) -> Set[str]:
+    """Every name bound at the top level of some ``src/repro`` module."""
+    names: Set[str] = set()
+    for module in (root / "src" / "repro").rglob("*.py"):
+        names |= _top_level_names(module)
+    return names
+
+
 def check_named_files(root: Path) -> List[str]:
-    """Docs of the tree name only modules and files that exist."""
+    """Docs of the tree name only modules, files and constants that
+    exist."""
     pages = [root / name for name in TREE_DOCS if (root / name).is_file()]
     pages += sorted((root / "docs").glob("*.md"))
     py_files = tree_py_files(root)
+    constants = module_constants(root)
     errors = []
     for md in pages:
         text = md.read_text(encoding="utf-8")
@@ -191,7 +207,21 @@ def check_named_files(root: Path) -> List[str]:
             tail = name.lstrip("./")
             if not any(f == tail or f.endswith("/" + tail) for f in py_files):
                 errors.append(f"{where}: names missing file {name}")
+        for name in sorted(_constant_names(spans)):
+            if name not in constants:
+                errors.append(f"{where}: names missing constant {name}")
     return errors
+
+
+def _constant_names(spans: List[str]) -> Set[str]:
+    """The ALL_CAPS names with an underscore that whole code spans
+    consist of, ``REPRO_*`` environment variables aside."""
+    names = set()
+    for span in spans:
+        match = _CONSTANT_SPAN.fullmatch(span)
+        if match and "_" in match.group(1) and not span.startswith("REPRO_"):
+            names.add(match.group(1))
+    return names
 
 
 def check(root: Path) -> List[str]:
@@ -234,7 +264,7 @@ def main(argv: List[str]) -> int:
         print(f"\n{len(errors)} error(s) across {checked} files", file=sys.stderr)
         return 1
     print(f"docs OK: {checked} markdown files, all relative links and anchors "
-          "resolve and every named module and file exists")
+          "resolve and every named module, file and constant exists")
     return 0
 
 
